@@ -1,10 +1,13 @@
 """Census engine: enumerate, deduplicate and classify orders of a given size.
 
-The sweep runs over all levels with zero first row and zero diagonal whose
-free entries lie in [0, bound]; every order is folded into its conjugacy
-class via the canonical form, and one representative per class is
+The raw orders are those with zero first row and zero diagonal whose other
+entries lie in [0, bound].  They are produced by the pruned box search that
+``overorders`` also uses: off-diagonal pairs are assigned one at a time and a
+prefix is dropped as soon as a triangle constraint on it fails, so the
+non-orders of the box are never built.  Every raw order is folded into its
+conjugacy class via the canonical form, and one representative per class is
 classified.  Fixing the first row up front is harmless (every class has such
-a representative) and shrinks the raw space by (bound+1)**(n-1).
+a representative) and shrinks the box by (bound+1)**(n-1).
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -12,13 +15,12 @@ family table.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidInputError
 from .classify import ClassificationReport, classify, triangular_form
 from .families import Family
-from .levels import DEFAULT_SEARCH_CAP, LevelMatrix, _order_ok, canonical_form, is_order
+from .levels import DEFAULT_SEARCH_CAP, LevelMatrix, _orders_in_box, canonical_form, is_order
 
 FILTERS = ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
 
@@ -33,12 +35,12 @@ class CensusQuery:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("census size must be positive")
+            raise InvalidInputError("census size must be positive")
         if self.bound < 0:
-            raise ValueError("census bound must be nonnegative")
+            raise InvalidInputError("census bound must be nonnegative")
         unknown = set(self.filters) - set(FILTERS)
         if unknown:
-            raise ValueError(f"unknown filters: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown filters: {sorted(unknown)}")
         object.__setattr__(self, "filters", frozenset(self.filters))
 
 
@@ -73,19 +75,26 @@ def _passes(name, cls, search_cap):
     raise ValueError(name)
 
 
+def _census_box(n, bound):
+    """(lo, hi) of the census: first row and diagonal zero, other entries in [0, bound]."""
+    hi = tuple(tuple(0 if i in (0, j) else bound for j in range(n)) for i in range(n))
+    return LevelMatrix.zero(n).entries, hi
+
+
 def census(
     query: CensusQuery,
     budget: int = DEFAULT_CENSUS_BUDGET,
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> CensusResult:
-    """Run the sweep described by ``query``.
+    """Run the census described by ``query``.
 
-    Deterministic: candidates are generated in a fixed order and classes are
-    sorted by their canonical level.
+    Raw orders come from the pruned box search over the census box (see the
+    module docstring).  The budget still bounds the raw box, not the search:
+    BudgetExceededError is raised up front when (bound+1)**((n-1)**2)
+    exceeds it.  Deterministic: classes are sorted by their canonical level.
     """
     n, bound = query.n, query.bound
-    free = [(i, j) for i in range(1, n) for j in range(n) if j != i]
-    raw_space = (bound + 1) ** len(free)
+    raw_space = (bound + 1) ** ((n - 1) ** 2)
     if raw_space > budget:
         raise BudgetExceededError(
             f"census raw space {raw_space} exceeds the budget {budget}", raw_space
@@ -93,15 +102,9 @@ def census(
 
     counts: dict[LevelMatrix, int] = {}
     raw_orders = 0
-    rows = [[0] * n for _ in range(n)]
-    for combo in itertools.product(range(bound + 1), repeat=len(free)):
-        for (i, j), value in zip(free, combo):
-            rows[i][j] = value
-        if not _order_ok(rows, n):
-            continue
+    for rows in _orders_in_box(*_census_box(n, bound)):
         raw_orders += 1
-        level = LevelMatrix(tuple(tuple(r) for r in rows))
-        canonical, _ = canonical_form(level, search_cap)
+        canonical, _ = canonical_form(LevelMatrix(rows), search_cap)
         counts[canonical] = counts.get(canonical, 0) + 1
 
     all_classes = []

@@ -21,7 +21,6 @@ from .levels import (
     LevelMatrix,
     WeylElement,
     _is_upper_triangular_rows,
-    _order_ok,
     _permuted_normalized,
     _require_order,
     canonical_form,
@@ -156,10 +155,18 @@ def triangular_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Opt
     return None if best is None else LevelMatrix(best)
 
 
+def _bass_verdict(shape: Optional[EichlerShape]) -> tuple[bool, bool, str]:
+    # (hereditary, bass, reason) read off the Eichler shape, or off None
+    if shape is not None and (shape.period == 1 or shape.a == 1):
+        return True, True, BASS_HEREDITARY
+    if shape is not None and shape.period == 2:
+        return False, True, BASS_EICHLER_PERIOD_TWO
+    return False, False, BASS_NOT
+
+
 def is_hereditary(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """True iff the order is Eichler with period 1 or a = 1."""
-    shape = classify_eichler(m, search_cap)
-    return shape is not None and (shape.period == 1 or shape.a == 1)
+    return _bass_verdict(classify_eichler(m, search_cap))[0]
 
 
 def is_bass(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[bool, str]:
@@ -169,29 +176,21 @@ def is_bass(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[bool,
     second component is one of BASS_HEREDITARY, BASS_EICHLER_PERIOD_TWO or
     BASS_NOT.
     """
-    shape = classify_eichler(m, search_cap)
-    if shape is not None:
-        if shape.period == 1 or shape.a == 1:
-            return True, BASS_HEREDITARY
-        if shape.period == 2:
-            return True, BASS_EICHLER_PERIOD_TWO
-    return False, BASS_NOT
+    return _bass_verdict(classify_eichler(m, search_cap))[1:]
 
 
 def truncate(m: LevelMatrix) -> LevelMatrix:
     """Clamp a positive-type order entrywise to {0, 1}.
 
-    The clamp preserves the order condition (checked at runtime), and the
-    result of a Bass order is again Bass.  Negative entries are rejected:
-    the clamp is only meaningful for positive type.
+    The clamp preserves the order condition, and the result of a Bass order
+    is again Bass.  Negative entries are rejected: the clamp is only
+    meaningful for positive type.
     """
     _require_order(m)
     if any(e < 0 for row in m.entries for e in row):
         raise NotPositiveTypeError("truncation requires nonnegative entries")
-    clamped = tuple(tuple(min(e, 1) for e in row) for row in m.entries)
-    if not _order_ok(clamped, m.n):
-        raise RuntimeError("truncation broke the order condition; input is corrupt")
-    return LevelMatrix(clamped)
+    # For a, b >= 0, c <= a + b implies min(c,1) <= min(a,1) + min(b,1).
+    return LevelMatrix(tuple(tuple(min(e, 1) for e in row) for row in m.entries))
 
 
 @dataclass(frozen=True)
@@ -253,13 +252,7 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
     canonical, witness = canonical_form(m, search_cap)
     gw, failing = _gorenstein_scan(m)
     shape = classify_eichler(m, search_cap)
-    hereditary = shape is not None and (shape.period == 1 or shape.a == 1)
-    if hereditary:
-        bass, reason = True, BASS_HEREDITARY
-    elif shape is not None and shape.period == 2:
-        bass, reason = True, BASS_EICHLER_PERIOD_TWO
-    else:
-        bass, reason = False, BASS_NOT
+    hereditary, bass, reason = _bass_verdict(shape)
     return ClassificationReport(
         is_order=True,
         canonical=canonical,

@@ -14,13 +14,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    BudgetExceededError,
-    MonordersError,
-    NotAnOrderError,
-    ParseError,
-    SearchTooLargeError,
-)
+from .errors import MonordersError, NotAnOrderError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
 from .duality import dual_level, lattice_violation, projective_witness
@@ -416,12 +410,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (BudgetExceededError, SearchTooLargeError, NotAnOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MonordersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,6 +5,10 @@ class MonordersError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(MonordersError, ValueError):
+    """A parameter is out of range; also a ValueError for existing callers."""
+
+
 class DimensionMismatch(MonordersError):
     """Objects that must share a size n do not."""
 

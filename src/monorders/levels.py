@@ -170,20 +170,66 @@ def is_order(m: LevelMatrix) -> bool:
     return order_violation(m) is None
 
 
-def _order_ok(rows, n):
-    # fast path for enumeration loops; `rows` is any indexable of indexables
-    for i in range(n):
-        if rows[i][i] != 0:
-            return False
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rj = rows[j]
-            mij = ri[j]
-            for k in range(n):
-                if ri[k] > mij + rj[k]:
-                    return False
-    return True
+def _orders_in_box(lo, hi):
+    """Row tuples of every order m with lo[i][j] <= m[i][j] <= hi[i][j] off the diagonal.
+
+    Pairs {i, j} are assigned one at a time, in the order (0,1), (0,2), (1,2),
+    (0,3), ...; each pair's cell already enforces the two-cycle condition
+    m[i][j] + m[j][i] >= 0, and every triangle constraint is checked as soon
+    as its last pair is assigned, so only viable prefixes are extended.
+    Diagonal entries of the box are ignored (they are zero).  Iterative, so
+    a yield costs the same at any depth.
+    """
+    n = len(lo)
+    if n == 1:
+        yield ((0,),)
+        return
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    cells = [
+        [
+            (x, y)
+            for x in range(lo[i][j], hi[i][j] + 1)
+            for y in range(max(lo[j][i], -x), hi[j][i] + 1)
+        ]
+        for i, j in pairs
+    ]
+    cur = [[0] * n for _ in range(n)]
+    last = len(pairs) - 1
+    stack = [iter(cells[0])]
+    while stack:
+        idx = len(stack) - 1
+        i, j = pairs[idx]
+        row_i = cur[i]
+        row_j = cur[j]
+        for x, y in stack[idx]:
+            row_i[j] = x
+            row_j[i] = y
+            ok = True
+            for k in range(i):
+                row_k = cur[k]
+                cki = row_k[i]
+                cik = row_i[k]
+                ckj = row_k[j]
+                cjk = row_j[k]
+                if (
+                    x > cik + ckj
+                    or y > cjk + cki
+                    or cik > x + cjk
+                    or cki > ckj + y
+                    or ckj > cki + x
+                    or cjk > y + cik
+                ):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if idx == last:
+                yield tuple(tuple(r) for r in cur)
+            else:
+                stack.append(iter(cells[idx + 1]))
+                break
+        else:
+            stack.pop()
 
 
 def _require_order(m):
@@ -268,13 +314,7 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
 
 def is_upper_triangular(m: LevelMatrix) -> bool:
     """True iff m[i][j] = 0 whenever i <= j (strict lower triangular values only)."""
-    rows = m.entries
-    for i in range(m.n):
-        ri = rows[i]
-        for j in range(i, m.n):
-            if ri[j] != 0:
-                return False
-    return True
+    return _is_upper_triangular_rows(m.entries, m.n)
 
 
 def _is_upper_triangular_rows(rows, n):

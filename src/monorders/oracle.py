@@ -14,7 +14,7 @@ from math import prod
 
 from .errors import BudgetExceededError
 from .duality import is_gorenstein
-from .levels import LevelMatrix, _require_order
+from .levels import LevelMatrix, _orders_in_box, _require_order
 
 DEFAULT_BUDGET = 10**7
 
@@ -46,11 +46,10 @@ def overorder_bound(m: LevelMatrix) -> int:
 def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
     """Exhaustively enumerate the levels of all orders containing m.
 
-    Candidates have zero diagonal and -m[j][i] <= m'[i][j] <= m[i][j]; the
-    search assigns off-diagonal pairs one at a time and prunes on every
-    triangle constraint that becomes fully determined, so only viable
-    prefixes are explored.  Raises BudgetExceededError when the pair-range
-    product exceeds ``budget``.
+    Candidates have zero diagonal and -m[j][i] <= m'[i][j] <= m[i][j]: the
+    box [-m^T, m], searched by the pruned pair-by-pair generator shared with
+    the census.  Raises BudgetExceededError when the pair-range product
+    exceeds ``budget``.
     """
     _require_order(m)
     bound = overorder_bound(m)
@@ -58,57 +57,10 @@ def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
         raise BudgetExceededError(
             f"overorder search size {bound} exceeds the budget {budget}", bound
         )
-    n = m.n
     rows = m.entries
-    if n == 1:
-        return OverorderSet(m, (LevelMatrix.zero(1),))
-
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    candidates = []
-    for i, j in pairs:
-        a = rows[i][j]
-        b = rows[j][i]
-        cell = [(x, y) for x in range(-b, a + 1) for y in range(max(-a, -x), b + 1)]
-        candidates.append(cell)
-
-    cur = [[0] * n for _ in range(n)]
-    found = []
-    last = len(pairs) - 1
-
-    def assign(idx):
-        i, j = pairs[idx]
-        row_i = cur[i]
-        row_j = cur[j]
-        for x, y in candidates[idx]:
-            row_i[j] = x
-            row_j[i] = y
-            ok = True
-            for k in range(i):
-                row_k = cur[k]
-                cki = row_k[i]
-                cik = row_i[k]
-                ckj = row_k[j]
-                cjk = row_j[k]
-                if (
-                    x > cik + ckj
-                    or y > cjk + cki
-                    or cik > x + cjk
-                    or cki > ckj + y
-                    or ckj > cki + x
-                    or cjk > y + cik
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if idx == last:
-                found.append(tuple(tuple(r) for r in cur))
-            else:
-                assign(idx + 1)
-
-    assign(0)
-    found.sort()
-    return OverorderSet(m, tuple(LevelMatrix(rows) for rows in found))
+    lo = tuple(tuple(-row[i] for row in rows) for i in range(m.n))
+    found = sorted(_orders_in_box(lo, rows))
+    return OverorderSet(m, tuple(LevelMatrix(level) for level in found))
 
 
 def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):

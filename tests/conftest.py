@@ -1,10 +1,10 @@
 """Shared helpers for the test suite."""
 
-import itertools
 import random
 
 from monorders import LevelMatrix, WeylElement
-from monorders.levels import _order_ok
+from monorders.census import _census_box
+from monorders.levels import _orders_in_box
 
 
 def min_plus_closure(rows):
@@ -45,27 +45,22 @@ def random_weyl(rng: random.Random, n: int, shift_bound: int = 3) -> WeylElement
     return WeylElement(shifts, tuple(perm))
 
 
+def triangular_box(n: int, bound: int):
+    """(lo, hi) of the upper triangular levels with below-diagonal entries in [0, bound]."""
+    hi = tuple(tuple(bound if j < i else 0 for j in range(n)) for i in range(n))
+    return LevelMatrix.zero(n).entries, hi
+
+
+def _sorted_orders(box):
+    # sorted rows are the row-major lexicographic order of a product sweep
+    return [LevelMatrix(rows) for rows in sorted(_orders_in_box(*box))]
+
+
 def enumerate_orders(n: int, bound: int):
     """All orders with zero first row, zero diagonal and entries in [0, bound]."""
-    free = [(i, j) for i in range(1, n) for j in range(n) if j != i]
-    rows = [[0] * n for _ in range(n)]
-    out = []
-    for combo in itertools.product(range(bound + 1), repeat=len(free)):
-        for (i, j), value in zip(free, combo):
-            rows[i][j] = value
-        if _order_ok(rows, n):
-            out.append(LevelMatrix.from_rows(rows))
-    return out
+    return _sorted_orders(_census_box(n, bound))
 
 
 def enumerate_triangular_orders(n: int, bound: int):
     """All upper triangular orders with below-diagonal entries in [0, bound]."""
-    free = [(i, j) for i in range(n) for j in range(i)]
-    rows = [[0] * n for _ in range(n)]
-    out = []
-    for combo in itertools.product(range(bound + 1), repeat=len(free)):
-        for (i, j), value in zip(free, combo):
-            rows[i][j] = value
-        if _order_ok(rows, n):
-            out.append(LevelMatrix.from_rows(rows))
-    return out
+    return _sorted_orders(triangular_box(n, bound))

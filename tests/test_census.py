@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from monorders import (
@@ -5,10 +7,15 @@ from monorders import (
     CensusQuery,
     LevelMatrix,
     census,
+    is_order,
     is_upper_triangular,
     load_families,
     match_family,
 )
+from monorders.census import _census_box
+from monorders.levels import _orders_in_box
+
+from conftest import triangular_box
 
 
 def M(rows):
@@ -23,6 +30,36 @@ class TestCensusQuery:
             CensusQuery(2, -1)
         with pytest.raises(ValueError):
             CensusQuery(2, 1, frozenset({"shiny"}))
+
+
+def product_orders(lo, hi):
+    """Test oracle: every level of the box, filtered by is_order, in row-major lex order."""
+    n = len(lo)
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    ranges = [range(lo[i][j], hi[i][j] + 1) for i, j in cells]
+    for combo in itertools.product(*ranges):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), value in zip(cells, combo):
+            rows[i][j] = value
+        level = LevelMatrix.from_rows(rows)
+        if is_order(level):
+            yield level.entries
+
+
+SEC52_ROWS = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0))
+
+BOXES = {
+    **{f"census-{n}-{b}": _census_box(n, b) for n in range(1, 5) for b in range(4)},
+    "census-5-1": _census_box(5, 1),
+    "triangular-4-3": triangular_box(4, 3),
+    "overorders-sec52": (tuple(tuple(-row[i] for row in SEC52_ROWS) for i in range(4)), SEC52_ROWS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_box_search_matches_product_filter(name):
+    lo, hi = BOXES[name]
+    assert sorted(_orders_in_box(lo, hi)) == list(product_orders(lo, hi))
 
 
 class TestCensus:

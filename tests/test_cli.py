@@ -240,3 +240,11 @@ class TestCensus:
 
     def test_budget(self, capsys):
         assert main(["census", "4", "--bound", "3", "--budget", "100"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [["census", "0"], ["census", "3", "--bound", "-1"]])
+    def test_bad_parameters_exit_two(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: census ")
+        assert captured.err.count("\n") == 1
