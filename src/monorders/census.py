@@ -60,7 +60,7 @@ class CensusResult:
     totals: dict
 
 
-def _passes(name, cls, search_cap):
+def _passes(name, cls):
     report = cls.report
     if name == "gorenstein":
         return bool(report.is_gorenstein)
@@ -71,7 +71,7 @@ def _passes(name, cls, search_cap):
     if name == "bass":
         return bool(report.is_bass)
     if name == "upper_triangular":
-        return triangular_form(cls.canonical, search_cap) is not None
+        return triangular_form(cls.canonical) is not None
     raise ValueError(name)
 
 
@@ -115,7 +115,7 @@ def census(
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
     passing: dict[str, list[CensusClass]] = {}
     for name in FILTERS:
-        passing[name] = [c for c in all_classes if _passes(name, c, search_cap)]
+        passing[name] = [c for c in all_classes if _passes(name, c)]
         totals[name] = len(passing[name])
 
     selected = all_classes

@@ -6,22 +6,23 @@ block staircase; the block sizes (k_1, ..., k_t) are its invariant and t its
 period.  Hereditary means Eichler with a = 1 (the maximal order being the
 period-1 case), and Bass means hereditary or Eichler of period two.
 ``classify`` bundles every verdict, with witnesses, into one report.
+
+The verdicts read one triangular conjugate, found in O(n^3) by sorting along
+a shortest-path preorder, so they take no size cap; only the canonical form
+in ``classify`` scans all n! permutations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotPositiveTypeError, NotTriangularError, SearchTooLargeError
+from .errors import InvalidInputError, NotPositiveTypeError, NotTriangularError
 from .duality import _gorenstein_scan
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
     WeylElement,
-    _is_upper_triangular_rows,
-    _permuted_normalized,
     _require_order,
     canonical_form,
     is_upper_triangular,
@@ -49,14 +50,14 @@ class EichlerShape:
 
     def __post_init__(self):
         if self.period != len(self.invariant):
-            raise ValueError("period must equal the number of blocks")
+            raise InvalidInputError("period must equal the number of blocks")
         if any(k < 1 for k in self.invariant):
-            raise ValueError("block sizes must be positive")
+            raise InvalidInputError("block sizes must be positive")
         if self.period == 1:
             if self.a is not None:
-                raise ValueError("period-one shapes carry no a")
+                raise InvalidInputError("period-one shapes carry no a")
         elif self.a is None or self.a < 1:
-            raise ValueError("a must be a positive integer when the period exceeds one")
+            raise InvalidInputError("a must be a positive integer when the period exceeds one")
 
     @property
     def n(self) -> int:
@@ -71,33 +72,21 @@ class EichlerShape:
 
 def _staircase_shape(rows, n):
     # rows: upper triangular order; returns EichlerShape or None.
-    # The order condition forces any single-value 0/a pattern into a block
-    # staircase, so a malformed pattern means corrupted input: fail hard.
+    # For j < k < i the triangle condition gives m[i][k] <= m[i][j] + m[j][k]
+    # = m[i][j], so with values 0/a row i is an a-prefix of some length p_i;
+    # m[i][j] <= m[i][i+1] + m[i+1][j] = m[i+1][j] gives p_i <= p_{i+1}.  If
+    # 0 < p = p_i < i, then a = m[i][p-1] <= m[i][p] + m[p][p-1] = m[p][p-1],
+    # so p_p = p and every row from p to i has prefix p.  Hence p_i = i exactly
+    # when the subdiagonal entry m[i][i-1] is a, and p_i = p_{i-1} otherwise:
+    # blocks start where the subdiagonal is nonzero.
     values = {rows[i][j] for i in range(n) for j in range(i) if rows[i][j] != 0}
     if not values:
         return EichlerShape(1, (n,), None)
     if len(values) > 1:
         return None
-    a = values.pop()
-    prefix = []
-    for i in range(n):
-        ri = rows[i]
-        cnt = 0
-        while cnt < i and ri[cnt] == a:
-            cnt += 1
-        for j in range(cnt, i):
-            if ri[j] != 0:
-                raise RuntimeError("0/a pattern of an order is not a row prefix; input is corrupt")
-        prefix.append(cnt)
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or prefix[i] != prefix[start]:
-            if prefix[start] != start:
-                raise RuntimeError("0/a pattern of an order is not a block staircase; input is corrupt")
-            blocks.append(i - start)
-            start = i
-    return EichlerShape(len(blocks), tuple(blocks), a)
+    cuts = [0] + [i for i in range(1, n) if rows[i][i - 1] != 0] + [n]
+    blocks = tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+    return EichlerShape(len(blocks), blocks, values.pop())
 
 
 def eichler_shape_of_triangular(m: LevelMatrix) -> Optional[EichlerShape]:
@@ -113,46 +102,45 @@ def eichler_shape_of_triangular(m: LevelMatrix) -> Optional[EichlerShape]:
     return _staircase_shape(m.entries, m.n)
 
 
-def _search_normalized(m, search_cap, operation):
-    _require_order(m)
-    if m.n > search_cap:
-        raise SearchTooLargeError(f"{operation} of size {m.n} exceeds the cap {search_cap}")
-    return itertools.permutations(range(m.n))
-
-
-def classify_eichler(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Optional[EichlerShape]:
-    """Eichler shape of an order, searching all permutation conjugates.
-
-    Each conjugate is normalized to positive type and pattern-matched when
-    upper triangular; the shape of the lex-min matching level is returned
-    with its invariant in canonical (cyclic-min) rotation.  None when no
-    conjugate matches.
-    """
-    n = m.n
-    rows = m.entries
-    best_level = None
-    best_shape = None
-    for sigma in _search_normalized(m, search_cap, "Eichler search"):
-        candidate = _permuted_normalized(rows, n, sigma)
-        if not _is_upper_triangular_rows(candidate, n):
-            continue
-        shape = _staircase_shape(candidate, n)
-        if shape is not None and (best_level is None or candidate < best_level):
-            best_level = candidate
-            best_shape = shape
-    return None if best_shape is None else best_shape.canonical()
-
-
-def triangular_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Optional[LevelMatrix]:
-    """Lex-min upper triangular normalized permutation conjugate, or None."""
-    n = m.n
-    rows = m.entries
+def _triangular_rows(rows, n):
+    # Lex-min upper triangular normalized permutation conjugate, or None.
+    # Rooted at r (r moved to index 0, first row normalized to zero), entry
+    # (i, j) becomes m[i][j] + m[r][i] - m[r][j] >= 0, which is zero iff
+    # i <= j in the preorder "m[r][i] + m[i][j] == m[r][j]" (transitive by the
+    # triangle condition).  So a root admits a triangular conjugate iff that
+    # preorder is total, and sorting by the count of k <= i produces it.  Tied
+    # indices have equal normalized rows and columns, so each root yields one
+    # candidate; O(n^3) over all roots.
     best = None
-    for sigma in _search_normalized(m, search_cap, "triangular search"):
-        candidate = _permuted_normalized(rows, n, sigma)
-        if _is_upper_triangular_rows(candidate, n) and (best is None or candidate < best):
+    for base in rows:
+        norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
+        order = sorted(range(n), key=lambda i: sum(norm[k][i] == 0 for k in range(n)))
+        candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
+        upper = all(e == 0 for i, row in enumerate(candidate) for e in row[i:])
+        if upper and (best is None or candidate < best):
             best = candidate
-    return None if best is None else LevelMatrix(best)
+    return best
+
+
+def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
+    """Eichler shape of an order, read off any triangular conjugate.
+
+    The nonzero below-diagonal values of a triangular form are its nonzero
+    pair sums m[i][j] + m[j][i], which are conjugation invariants, so one
+    triangular form decides the shape; the invariant is returned in
+    canonical (cyclic-min) rotation.  None when no conjugate matches.
+    """
+    _require_order(m)
+    rows = _triangular_rows(m.entries, m.n)
+    shape = None if rows is None else _staircase_shape(rows, m.n)
+    return None if shape is None else shape.canonical()
+
+
+def triangular_form(m: LevelMatrix) -> Optional[LevelMatrix]:
+    """Lex-min upper triangular normalized permutation conjugate, or None."""
+    _require_order(m)
+    rows = _triangular_rows(m.entries, m.n)
+    return None if rows is None else LevelMatrix(rows)
 
 
 def _bass_verdict(shape: Optional[EichlerShape]) -> tuple[bool, bool, str]:
@@ -164,19 +152,19 @@ def _bass_verdict(shape: Optional[EichlerShape]) -> tuple[bool, bool, str]:
     return False, False, BASS_NOT
 
 
-def is_hereditary(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> bool:
+def is_hereditary(m: LevelMatrix) -> bool:
     """True iff the order is Eichler with period 1 or a = 1."""
-    return _bass_verdict(classify_eichler(m, search_cap))[0]
+    return _bass_verdict(classify_eichler(m))[0]
 
 
-def is_bass(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[bool, str]:
+def is_bass(m: LevelMatrix) -> tuple[bool, str]:
     """Bass verdict with its reason.
 
     An order is Bass iff it is hereditary or Eichler of period two; the
     second component is one of BASS_HEREDITARY, BASS_EICHLER_PERIOD_TWO or
     BASS_NOT.
     """
-    return _bass_verdict(classify_eichler(m, search_cap))[1:]
+    return _bass_verdict(classify_eichler(m))[1:]
 
 
 def truncate(m: LevelMatrix) -> LevelMatrix:
@@ -251,7 +239,7 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
         return ClassificationReport(is_order=False, order_violation=violation)
     canonical, witness = canonical_form(m, search_cap)
     gw, failing = _gorenstein_scan(m)
-    shape = classify_eichler(m, search_cap)
+    shape = classify_eichler(m)
     hereditary, bass, reason = _bass_verdict(shape)
     return ClassificationReport(
         is_order=True,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files
 
+from .errors import InvalidInputError
 from .levels import LevelMatrix
 
 _ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
@@ -33,10 +34,10 @@ class Family:
         for name in self.params:
             value = given[name]
             if value is None or value < 1:
-                raise ValueError(f"family {self.index} needs a positive integer {name}")
+                raise InvalidInputError(f"family {self.index} needs a positive integer {name}")
         for name, value in given.items():
             if value is not None and name not in self.params:
-                raise ValueError(f"family {self.index} takes no parameter {name}")
+                raise InvalidInputError(f"family {self.index} takes no parameter {name}")
         av = a or 0
         bv = b or 0
         rows = []

@@ -15,6 +15,7 @@ from .errors import ParseError
 from .levels import LevelMatrix
 
 _TOKEN = re.compile(r"\S+")
+_TOO_LONG = "integer has too many digits"
 
 
 def parse_level_text(text: str) -> LevelMatrix:
@@ -27,10 +28,10 @@ def parse_level_text(text: str) -> LevelMatrix:
         raise ParseError("empty level file")
 
     lineno, header = significant[0]
-    tokens = _TOKEN.findall(header)
-    if len(tokens) != 1 or not _is_int(tokens[0]):
+    tokens = list(_TOKEN.finditer(header))
+    if len(tokens) != 1 or not _is_int(tokens[0].group()):
         raise ParseError("expected a single integer n on the first line", line=lineno)
-    n = int(tokens[0])
+    n = _to_int(tokens[0], lineno)
     if n < 1:
         raise ParseError(f"matrix size must be positive, got {n}", line=lineno)
     if len(significant) - 1 != n:
@@ -50,7 +51,7 @@ def parse_level_text(text: str) -> LevelMatrix:
                     line=lineno,
                     column=match.start() + 1,
                 )
-            row.append(int(token))
+            row.append(_to_int(match, lineno))
         if len(row) != n:
             raise ParseError(
                 f"expected {n} entries in this row, found {len(row)}", line=lineno
@@ -64,6 +65,8 @@ def parse_level_json(text: str) -> LevelMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except ValueError:  # an integer beyond int()'s digit limit
+        raise ParseError(f"invalid JSON: {_TOO_LONG}") from None
     if not isinstance(data, dict) or "n" not in data or "m" not in data:
         raise ParseError('JSON level must be an object with keys "n" and "m"')
     n, m = data["n"], data["m"]
@@ -109,6 +112,14 @@ def level_to_json_obj(m: LevelMatrix) -> dict:
 
 
 def _is_int(token: str) -> bool:
+    # isdecimal, not isdigit: superscripts such as "²" are digits int() rejects
     if token and token[0] in "+-":
         token = token[1:]
-    return token.isdigit()
+    return token.isdecimal()
+
+
+def _to_int(match, lineno) -> int:
+    try:
+        return int(match.group())
+    except ValueError:  # beyond int()'s digit limit
+        raise ParseError(_TOO_LONG, line=lineno, column=match.start() + 1) from None

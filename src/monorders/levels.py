@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DimensionMismatch, NotAnOrderError, SearchTooLargeError
+from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
 
 #: Largest n for which the n! conjugacy searches run without an explicit opt-in.
 DEFAULT_SEARCH_CAP = 8
@@ -49,10 +49,10 @@ class LevelMatrix:
     def __post_init__(self):
         n = len(self.entries)
         if n == 0:
-            raise ValueError("a level matrix has size at least 1")
+            raise InvalidInputError("a level matrix has size at least 1")
         for row in self.entries:
             if not isinstance(row, tuple) or len(row) != n:
-                raise ValueError("level matrix entries must form a square tuple of tuples")
+                raise InvalidInputError("level matrix entries must form a square tuple of tuples")
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError(f"level entries must be integers, got {e!r}")
@@ -100,9 +100,9 @@ class WeylElement:
     def __post_init__(self):
         n = len(self.shifts)
         if len(self.perm) != n:
-            raise ValueError("shifts and perm must have the same length")
+            raise InvalidInputError("shifts and perm must have the same length")
         if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"perm must be a permutation of range({n})")
+            raise InvalidInputError(f"perm must be a permutation of range({n})")
         for s in self.shifts:
             if not isinstance(s, int) or isinstance(s, bool):
                 raise TypeError("shifts must be integers")

@@ -5,6 +5,7 @@ import pytest
 from monorders import (
     BudgetExceededError,
     CensusQuery,
+    InvalidInputError,
     LevelMatrix,
     census,
     is_order,
@@ -164,6 +165,8 @@ class TestFamilies:
             families[0].instantiate(a=1)  # takes none
         with pytest.raises(ValueError):
             families[5].instantiate(a=1)  # missing b
+        with pytest.raises(InvalidInputError):
+            families[1].instantiate(a=0)  # not positive
 
     def test_instances_are_gorenstein_orders(self):
         from monorders import is_gorenstein, is_order

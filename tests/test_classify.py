@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monorders import (
@@ -5,12 +7,14 @@ from monorders import (
     BASS_HEREDITARY,
     BASS_NOT,
     EichlerShape,
+    InvalidInputError,
     LevelMatrix,
     NotAnOrderError,
     NotPositiveTypeError,
     NotTriangularError,
     classify,
     classify_eichler,
+    conjugate,
     eichler_shape_of_triangular,
     is_bass,
     is_gorenstein,
@@ -19,7 +23,17 @@ from monorders import (
     triangular_form,
     truncate,
 )
-from conftest import enumerate_orders, enumerate_triangular_orders
+from monorders.classify import _staircase_shape
+from conftest import (
+    brute_classify_eichler,
+    brute_staircase_shape,
+    brute_triangular_form,
+    enumerate_orders,
+    enumerate_triangular_orders,
+    min_plus_closure,
+    random_order,
+    random_weyl,
+)
 
 
 def M(rows):
@@ -33,6 +47,8 @@ class TestEichlerShape:
     def test_invariant_must_sum_to_blocks(self):
         with pytest.raises(ValueError):
             EichlerShape(2, (1, 1, 1), 1)
+        with pytest.raises(InvalidInputError):
+            EichlerShape(2, (2, 0), 1)
 
     def test_period_one_carries_no_a(self):
         with pytest.raises(ValueError):
@@ -89,7 +105,6 @@ class TestClassifyEichler:
         # conjugation invariants, so every triangular conjugate must agree
         import itertools
 
-        from monorders.classify import _staircase_shape
         from monorders.levels import _is_upper_triangular_rows, _permuted_normalized
 
         for m in enumerate_triangular_orders(4, 2):
@@ -221,3 +236,62 @@ class TestTriangularGorensteinIsPermutationTriangular:
             for m in enumerate_orders(n, 1):
                 if is_gorenstein(m):
                     assert triangular_form(m) is not None
+
+
+def _disguised_eichler_order(rng, n):
+    # the closure of a random 0/a lower triangular matrix is a staircase, so
+    # Eichler; conjugating it hides that
+    a = rng.randint(1, 3)
+    rows = [[rng.choice((0, a)) if j < i else 0 for j in range(n)] for i in range(n)]
+    level = LevelMatrix.from_rows(min_plus_closure(rows))
+    return conjugate(level, random_weyl(rng, n))
+
+
+def _random_cases(n, count):
+    rng = random.Random(1000 + n)
+    return [
+        _disguised_eichler_order(rng, n) if k % 2 else random_order(rng, n, 3)
+        for k in range(count)
+    ]
+
+
+VERDICT_CASES = {
+    **{f"census-{n}-{b}": (n, b) for n, b in ((1, 3), (2, 6), (3, 5), (4, 3), (5, 1))},
+    "random-6": (6, 20),
+    "random-7": (7, 6),
+    "random-8": (8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_triangular_verdicts_match_permutation_sweep(name):
+    n, k = VERDICT_CASES[name]
+    if name.startswith("census"):
+        # each census order, and a random conjugate of it (no longer of
+        # positive type); the sweep's answer is the same for both, since a
+        # conjugate has the same set of normalized permutation conjugates
+        rng = random.Random(n * 100 + k)
+        pairs = [(m, conjugate(m, random_weyl(rng, n))) for m in enumerate_orders(n, k)]
+    else:
+        pairs = [(m, m) for m in _random_cases(n, k)]
+    for m, disguised in pairs:
+        shape = brute_classify_eichler(m)
+        form = brute_triangular_form(m)
+        for level in {m, disguised}:
+            assert classify_eichler(level) == shape, level
+            assert triangular_form(level) == form, level
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_staircase_matches_prefix_oracle(n):
+    for m in enumerate_triangular_orders(n, 2):
+        assert _staircase_shape(m.entries, n) == brute_staircase_shape(m.entries, n)
+
+
+def test_verdicts_run_past_the_search_cap():
+    chain = LevelMatrix.from_rows([[1 if j < i else 0 for j in range(10)] for i in range(10)])
+    level = conjugate(chain, random_weyl(random.Random(10), 10))
+    assert classify_eichler(level) == EichlerShape(10, (1,) * 10, 1)
+    assert triangular_form(level) == chain
+    assert is_hereditary(level)
+    assert is_bass(level) == (True, BASS_HEREDITARY)

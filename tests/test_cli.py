@@ -25,7 +25,7 @@ def non_order_file(tmp_path):
 
 def write_level(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -44,6 +44,18 @@ class TestCheck:
         path = write_level(tmp_path, "ragged.lvl", "2\n0 0\n1\n")
         assert main(["check", path]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1\n\u00b2\n", "1\n" + "9" * 5000 + "\n", '{"n": 1, "m": [[' + "9" * 5000 + "]]}"],
+        ids=["superscript", "long-text", "long-json"],
+    )
+    def test_bad_integer_exit_two(self, tmp_path, capsys, text):
+        path = write_level(tmp_path, "bad.lvl", text)
+        assert main(["check", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_json_output(self, non_order_file, capsys):
         main(["check", non_order_file, "--format", "json"])

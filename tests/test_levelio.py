@@ -46,6 +46,20 @@ def test_bad_token_reports_position():
     assert info.value.column == 3
 
 
+def test_superscript_digit_is_not_an_integer():
+    with pytest.raises(ParseError) as info:
+        parse_level_text("1\n \u00b2\n")
+    assert (info.value.line, info.value.column) == (2, 2)
+
+
+def test_over_long_integer_reports_position():
+    with pytest.raises(ParseError) as info:
+        parse_level_text("1\n" + "9" * 5000 + "\n")
+    assert (info.value.line, info.value.column) == (2, 1)
+    with pytest.raises(ParseError):
+        parse_level_json('{"n": 1, "m": [[' + "9" * 5000 + "]]}")
+
+
 def test_bad_header():
     with pytest.raises(ParseError):
         parse_level_text("two\n")

@@ -2,6 +2,7 @@ import pytest
 
 from monorders import (
     DimensionMismatch,
+    InvalidInputError,
     LevelMatrix,
     NotAnOrderError,
     SearchTooLargeError,
@@ -29,6 +30,8 @@ class TestLevelMatrix:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             LevelMatrix(((0, 0), (0,)))
+        with pytest.raises(InvalidInputError):
+            LevelMatrix(((0, 0),))
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
@@ -67,6 +70,8 @@ class TestWeylElement:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             WeylElement((0, 0), (0, 0))
+        with pytest.raises(InvalidInputError):
+            WeylElement((0, 0), (1, 2))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
