@@ -4,10 +4,12 @@ The raw orders are those with zero first row and zero diagonal whose other
 entries lie in [0, bound].  They are produced by the pruned box search that
 ``overorders`` also uses: off-diagonal pairs are assigned one at a time and a
 prefix is dropped as soon as a triangle constraint on it fails, so the
-non-orders of the box are never built.  Every raw order is folded into its
-conjugacy class via the canonical form, and one representative per class is
-classified.  Fixing the first row up front is harmless (every class has such
-a representative) and shrinks the box by (bound+1)**(n-1).
+non-orders of the box are never built.  Raw orders are folded into classes
+by orbit marking: the n! normalized conjugates of a class's first raw order
+give its canonical level and count, and its other raw orders are skipped.
+One representative per class is classified.  Fixing the first row up front is
+harmless (every class has such a representative) and shrinks the box by
+(bound+1)**(n-1).
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -20,11 +22,10 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceededError, InvalidInputError
 from .classify import ClassificationReport, classify, triangular_form
 from .families import Family
-from .levels import DEFAULT_SEARCH_CAP, LevelMatrix, _orders_in_box, canonical_form, is_order
+from .levels import DEFAULT_SEARCH_CAP, LevelMatrix, _conjugates, _orders_in_box, _permuted_normalized, is_order
+from .oracle import DEFAULT_BUDGET
 
 FILTERS = ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
-
-DEFAULT_CENSUS_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def _census_box(n, bound):
 
 def census(
     query: CensusQuery,
-    budget: int = DEFAULT_CENSUS_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> CensusResult:
     """Run the census described by ``query``.
@@ -101,44 +102,47 @@ def census(
         )
 
     counts: dict[LevelMatrix, int] = {}
+    pending = set()  # raw orders of a class already counted, not yet enumerated
     raw_orders = 0
     for rows in _orders_in_box(*_census_box(n, bound)):
         raw_orders += 1
-        canonical, _ = canonical_form(LevelMatrix(rows), search_cap)
-        counts[canonical] = counts.get(canonical, 0) + 1
+        if rows in pending:
+            pending.remove(rows)
+            continue
+        orbit = {level for level, _ in _conjugates(rows, n, search_cap)}
+        # conjugates are normalized (zero first row, no negative entry): in the box iff max <= bound
+        in_box = {level for level in orbit if max(map(max, level)) <= bound}
+        counts[LevelMatrix(min(orbit))] = len(in_box)
+        pending |= in_box - {rows}
 
     all_classes = []
     for canonical in sorted(counts, key=lambda c: c.entries):
         report = classify(canonical, search_cap)
         all_classes.append(CensusClass(canonical, report, counts[canonical]))
 
+    passed = [frozenset(name for name in FILTERS if _passes(name, c)) for c in all_classes]
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
-    passing: dict[str, list[CensusClass]] = {}
-    for name in FILTERS:
-        passing[name] = [c for c in all_classes if _passes(name, c)]
-        totals[name] = len(passing[name])
-
-    selected = all_classes
-    for name in sorted(query.filters):
-        chosen = set(id(c) for c in passing[name])
-        selected = [c for c in selected if id(c) in chosen]
-    return CensusResult(query, tuple(selected), totals)
+    totals.update({name: sum(name in p for p in passed) for name in FILTERS})
+    selected = tuple(c for c, p in zip(all_classes, passed) if query.filters <= p)
+    return CensusResult(query, selected, totals)
 
 
-def match_family(level: LevelMatrix, family: Family, search_cap: int = DEFAULT_SEARCH_CAP):
+def match_family(level: LevelMatrix, family: Family):
     """Parameter assignment making the family conjugate to ``level``.
 
     Returns a dict with the family's parameters ({} for the parameterless
     family) or None when no assignment works.  Total: size mismatches and
-    non-orders yield None.  The search is finite because the maximal
-    off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant and
-    every family pattern realizes it as a, or as a + b.
+    non-orders yield None.  An instance matches when its first-row
+    normalization is one of the normalized conjugates of ``level``.  The
+    search is finite because the maximal off-diagonal pair sum
+    m[i][j] + m[j][i] is a conjugacy invariant and every family pattern
+    realizes it as a, or as a + b.
     """
     if level.n != family.n or not is_order(level):
         return None
-    target = canonical_form(level, search_cap)[0]
     rows = level.entries
     n = level.n
+    orbit = {conjugate for conjugate, _ in _conjugates(rows, n)}
     pair_max = max(
         (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
     )
@@ -150,8 +154,6 @@ def match_family(level: LevelMatrix, family: Family, search_cap: int = DEFAULT_S
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if not is_order(instance):
-            continue
-        if canonical_form(instance, search_cap)[0] == target:
+        if _permuted_normalized(instance.entries, n, tuple(range(n))) in orbit:
             return params
     return None

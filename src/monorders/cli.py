@@ -53,10 +53,7 @@ def format_level_compact(m) -> str:
 
 
 def format_level_block(m, indent="  ") -> str:
-    width = max(len(str(e)) for row in m.entries for e in row)
-    return "\n".join(
-        indent + " ".join(str(e).rjust(width) for e in row) for row in m.entries
-    )
+    return indent + str(m).replace("\n", "\n" + indent)
 
 
 def _violation_text(witness) -> str:

@@ -67,6 +67,8 @@ def parse_level_json(text: str) -> LevelMatrix:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
     except ValueError:  # an integer beyond int()'s digit limit
         raise ParseError(f"invalid JSON: {_TOO_LONG}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict) or "n" not in data or "m" not in data:
         raise ParseError('JSON level must be an object with keys "n" and "m"')
     n, m = data["n"], data["m"]

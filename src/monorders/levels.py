@@ -288,28 +288,27 @@ def _permuted_normalized(rows, n, sigma):
     return tuple(tuple(row) for row in out)
 
 
+def _conjugates(rows, n, search_cap=DEFAULT_SEARCH_CAP):
+    # (normalized permutation conjugate, sigma) for every sigma, in
+    # itertools.permutations order: the one n! scan of the library
+    if n > search_cap:
+        raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
+    for sigma in itertools.permutations(range(n)):
+        yield _permuted_normalized(rows, n, sigma), sigma
+
+
 def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[LevelMatrix, WeylElement]:
     """Distinguished conjugacy-class representative of an order.
 
     Over all n! permutations, conjugate, normalize the first row to zero,
     and keep the row-major lexicographically smallest level.  Two orders are
     conjugate under the full action iff their canonical levels are equal.
-    Returns the level together with an achieving Weyl element.
+    Returns the level together with the achieving Weyl element of least permutation.
     """
     _require_order(m)
-    n = m.n
-    if n > search_cap:
-        raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
     rows = m.entries
-    best = None
-    best_sigma = None
-    for sigma in itertools.permutations(range(n)):
-        candidate = _permuted_normalized(rows, n, sigma)
-        if best is None or candidate < best:
-            best = candidate
-            best_sigma = sigma
-    witness = WeylElement(rows[best_sigma.index(0)], best_sigma)
-    return LevelMatrix(best), witness
+    best, sigma = min(_conjugates(rows, m.n, search_cap))
+    return LevelMatrix(best), WeylElement(rows[sigma.index(0)], sigma)
 
 
 def is_upper_triangular(m: LevelMatrix) -> bool:

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from monorders import EichlerShape, LevelMatrix, WeylElement
+from monorders import EichlerShape, LevelMatrix, WeylElement, canonical_form, is_order
 from monorders.census import _census_box
 from monorders.levels import _is_upper_triangular_rows, _orders_in_box, _permuted_normalized
 
@@ -121,3 +121,35 @@ def brute_triangular_form(m: LevelMatrix):
     """Lex-min upper triangular normalized permutation conjugate by the n! sweep."""
     best = min(_brute_triangular_candidates(m), default=None)
     return None if best is None else LevelMatrix(best)
+
+
+def brute_census_counts(n: int, bound: int):
+    """{canonical level: count} of a census, folding every raw order through canonical_form."""
+    counts = {}
+    for rows in _orders_in_box(*_census_box(n, bound)):
+        canonical, _ = canonical_form(LevelMatrix(rows))
+        counts[canonical] = counts.get(canonical, 0) + 1
+    return counts
+
+
+def brute_match_family(level: LevelMatrix, family):
+    """match_family by comparing the canonical forms of the level and of each instance."""
+    if level.n != family.n or not is_order(level):
+        return None
+    target = canonical_form(level)[0]
+    rows = level.entries
+    n = level.n
+    pair_max = max(
+        (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
+    )
+    if not family.params:
+        assignments = [{}]
+    elif family.params == ("a",):
+        assignments = [{"a": pair_max}] if pair_max >= 1 else []
+    else:
+        assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
+    for params in assignments:
+        instance = family.instantiate(**params)
+        if is_order(instance) and canonical_form(instance)[0] == target:
+            return params
+    return None

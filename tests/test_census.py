@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from monorders import (
     InvalidInputError,
     LevelMatrix,
     census,
+    conjugate,
     is_order,
     is_upper_triangular,
     load_families,
@@ -16,7 +18,7 @@ from monorders import (
 from monorders.census import _census_box
 from monorders.levels import _orders_in_box
 
-from conftest import triangular_box
+from conftest import brute_census_counts, brute_match_family, random_weyl, triangular_box
 
 
 def M(rows):
@@ -49,9 +51,10 @@ def product_orders(lo, hi):
 
 SEC52_ROWS = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0))
 
+CENSUS_SIZES = [(n, b) for n in range(1, 5) for b in range(4)] + [(5, 1)]
+
 BOXES = {
-    **{f"census-{n}-{b}": _census_box(n, b) for n in range(1, 5) for b in range(4)},
-    "census-5-1": _census_box(5, 1),
+    **{f"census-{n}-{b}": _census_box(n, b) for n, b in CENSUS_SIZES},
     "triangular-4-3": triangular_box(4, 3),
     "overorders-sec52": (tuple(tuple(-row[i] for row in SEC52_ROWS) for i in range(4)), SEC52_ROWS),
 }
@@ -61,6 +64,12 @@ BOXES = {
 def test_box_search_matches_product_filter(name):
     lo, hi = BOXES[name]
     assert sorted(_orders_in_box(lo, hi)) == list(product_orders(lo, hi))
+
+
+@pytest.mark.parametrize("n,bound", CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)])
+def test_orbit_marking_matches_canonical_fold(n, bound):
+    result = census(CensusQuery(n, bound))
+    assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
 
 
 class TestCensus:
@@ -149,6 +158,16 @@ class TestMatchFamily:
         for cls in result.classes:
             matches = [f.index for f in families if match_family(cls.canonical, f) is not None]
             assert len(matches) == 1
+
+
+def test_match_family_matches_canonical_comparison():
+    rng = random.Random(0)
+    levels = [c.canonical for c in census(CensusQuery(4, 2)).classes]
+    levels += [conjugate(level, random_weyl(rng, 4)) for level in levels]
+    levels += [M([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [5, 0, 0, 0]]), M([[0, 0], [1, 0]])]
+    for family in load_families():
+        for level in levels:
+            assert match_family(level, family) == brute_match_family(level, family)
 
 
 class TestFamilies:

@@ -57,6 +57,14 @@ class TestCheck:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_deep_json_nesting_exit_two(self, tmp_path, capsys):
+        depth = 100_000
+        path = write_level(tmp_path, "deep.json", '{"n": 1, "m": ' + "[" * depth + "]" * depth + "}")
+        assert main(["check", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_json_output(self, non_order_file, capsys):
         main(["check", non_order_file, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -212,6 +220,16 @@ class TestSearchCap:
         path = write_level(tmp_path, "m.lvl", "3\n0 0 0\n1 0 0\n1 1 0\n")
         assert main(["classify", path, "--cap", "2"]) == EXIT_INPUT
         assert "cap" in capsys.readouterr().err
+
+    def test_census_cap_refuses_before_any_orbit_scan(self, capsys, monkeypatch):
+        def scan(*args):
+            raise AssertionError("a conjugate was built")
+
+        monkeypatch.setattr("monorders.levels._permuted_normalized", scan)
+        assert main(["census", "4", "--cap", "3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: canonical form of size 4 exceeds the cap 3\n"
 
 
 class TestCensus:

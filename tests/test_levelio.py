@@ -60,6 +60,12 @@ def test_over_long_integer_reports_position():
         parse_level_json('{"n": 1, "m": [[' + "9" * 5000 + "]]}")
 
 
+def test_deep_json_nesting_is_a_parse_error():
+    depth = 100_000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_level_json('{"n": 1, "m": ' + "[" * depth + "]" * depth + "}")
+
+
 def test_bad_header():
     with pytest.raises(ParseError):
         parse_level_text("two\n")
