@@ -17,6 +17,7 @@ family table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -127,6 +128,13 @@ def census(
     return CensusResult(query, selected, totals)
 
 
+@functools.lru_cache(maxsize=1)
+def _orbit(level):
+    # the normalized conjugates of level; the CLI matches one class against
+    # every family in turn, so the last orbit is kept
+    return frozenset(conjugate for conjugate, _ in _conjugates(level.entries, level.n))
+
+
 def match_family(level: LevelMatrix, family: Family):
     """Parameter assignment making the family conjugate to ``level``.
 
@@ -142,7 +150,7 @@ def match_family(level: LevelMatrix, family: Family):
         return None
     rows = level.entries
     n = level.n
-    orbit = {conjugate for conjugate, _ in _conjugates(rows, n)}
+    orbit = _orbit(level)
     pair_max = max(
         (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
     )

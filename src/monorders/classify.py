@@ -9,7 +9,8 @@ period-1 case), and Bass means hereditary or Eichler of period two.
 
 The verdicts read one triangular conjugate, found in O(n^3) by sorting along
 a shortest-path preorder, so they take no size cap; only the canonical form
-in ``classify`` scans all n! permutations.
+in ``classify`` keeps one (it is a pruned search over placements, see
+``levels.canonical_form``).
 """
 
 from __future__ import annotations

@@ -35,17 +35,25 @@ EXIT_DISAGREEMENT = 3
 BUDGET_ENV = "MONORDERS_BUDGET"
 
 
+def _positive_int(raw):
+    # the rule for --budget, --cap and MONORDERS_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def _default_budget():
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise MonordersError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise MonordersError(f"{BUDGET_ENV} {exc}")
 
 
 def format_level_compact(m) -> str:
@@ -100,9 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the Bass verdict against the brute-force overorder oracle",
     )
-    p_classify.add_argument("--budget", type=int, default=None, help="oracle search budget")
     p_classify.add_argument(
-        "--cap", type=int, default=DEFAULT_SEARCH_CAP, help="n! search cap (default 8)"
+        "--budget", type=_positive_int, default=None, help="oracle search budget"
+    )
+    p_classify.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=DEFAULT_SEARCH_CAP,
+        help="canonical-form size cap (default 8)",
     )
     p_classify.set_defaults(func=cmd_classify)
 
@@ -127,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_over = sub.add_parser("overorders", help="enumerate all orders containing the input")
     p_over.add_argument("file")
     _add_format(p_over)
-    p_over.add_argument("--budget", type=int, default=None, help="search budget")
+    p_over.add_argument("--budget", type=_positive_int, default=None, help="search budget")
     p_over.add_argument("--dump", action="store_true", help="list every member")
     p_over.set_defaults(func=cmd_overorders)
 
@@ -148,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="match Gorenstein classes against the 4x4 family table (n=4 only)",
     )
-    p_census.add_argument("--budget", type=int, default=None, help="raw-space budget")
-    p_census.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
+    p_census.add_argument("--budget", type=_positive_int, default=None, help="raw-space budget")
+    p_census.add_argument("--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP)
     p_census.set_defaults(func=cmd_census)
 
     return parser

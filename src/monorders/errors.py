@@ -42,7 +42,7 @@ class NotTriangularError(MonordersError):
 
 
 class SearchTooLargeError(MonordersError):
-    """The matrix size exceeds the configured cap for an n! search."""
+    """The matrix size exceeds the configured cap for a canonical form or an n! orbit scan."""
 
 
 class BudgetExceededError(MonordersError):

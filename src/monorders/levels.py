@@ -15,9 +15,10 @@ used throughout is
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
 Every order is conjugate to a *positive type* level: first row zero and all
-entries nonnegative (:func:`normalize_positive`).  Exhausting the
-permutation part on top of that normalization yields a canonical
-representative per conjugacy class (:func:`canonical_form`).
+entries nonnegative (:func:`normalize_positive`).  The row-major lex-min
+normalized permutation conjugate is a canonical representative per
+conjugacy class (:func:`canonical_form`), found by a search that fills
+positions one at a time rather than by scanning all n! permutations.
 
 All values are immutable and all functions are pure, so everything here is
 safe to share between threads.
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
 
-#: Largest n for which the n! conjugacy searches run without an explicit opt-in.
+#: Largest n for which canonical forms and n! orbit scans run without an explicit opt-in.
 DEFAULT_SEARCH_CAP = 8
 
 
@@ -288,27 +289,134 @@ def _permuted_normalized(rows, n, sigma):
     return tuple(tuple(row) for row in out)
 
 
-def _conjugates(rows, n, search_cap=DEFAULT_SEARCH_CAP):
-    # (normalized permutation conjugate, sigma) for every sigma, in
-    # itertools.permutations order: the one n! scan of the library
+def _check_search_cap(n, search_cap):
     if n > search_cap:
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
+
+
+def _conjugates(rows, n, search_cap=DEFAULT_SEARCH_CAP):
+    # (normalized permutation conjugate, sigma) for every sigma, in
+    # itertools.permutations order: whole orbits, for census and match_family
+    _check_search_cap(n, search_cap)
     for sigma in itertools.permutations(range(n)):
         yield _permuted_normalized(rows, n, sigma), sigma
+
+
+def _swappable(rows, n, x, y):
+    # True when the transposition (x y), with the shifts d at x and -d at y,
+    # fixes the level: then it permutes the optimal sigmas of canonical_form
+    rx = rows[x]
+    ry = rows[y]
+    twice = rx[y] - ry[x]
+    if twice % 2:
+        return False
+    d = twice // 2
+    return all(rx[z] - ry[z] == d == rows[z][y] - rows[z][x] for z in range(n) if z != x and z != y)
+
+
+def _respects_classes(prefix, lesser):
+    # every placed index follows the smaller members of its transposition class
+    placed = set()
+    for a in prefix:
+        if not lesser[a] <= placed:
+            return False
+        placed.add(a)
+    return True
+
+
+def _canonical_sigma(rows, n):
+    """Least sigma whose normalized permutation conjugate of ``rows`` is row-major lex-min.
+
+    Positions are filled one at a time.  With a_0..a_{k-1} placed and x put
+    at position k, row k of the conjugate is fixed on the placed columns (the
+    head) and reads m[x][z] + m[a_0][x] - m[a_0][z] at each unplaced z.  Rows
+    1..k-1 already order the unplaced indices: z goes before z' when its
+    column in those rows (its key) is smaller.  So the least row k a
+    completion can reach puts the new values in key order and sorts them
+    within equal keys, and only an index of least key can take position k.
+    A node is (placed prefix, unplaced indices, their keys).  Every node of a
+    depth has the same rows so far, so at each depth only the children with
+    the least head, and among them the least sorted tail, are kept; the least
+    sigma is then among the leaves.  Transpositions that fix the level (see
+    ``_swappable``) form classes whose members can be placed in increasing
+    order without losing that sigma, which cuts the zero level from n!
+    leaves to one.  The classes are built only when a depth keeps more than
+    one node.
+    """
+    if n == 1:
+        return (0,)
+    everyone = tuple(range(n))
+    # depth 1: the head of row 1 is the pair sum of a_0 and a_1
+    low = min(rows[r][x] + rows[x][r] for x in everyone for r in range(x))
+    no_keys = ((),) * (n - 1)
+    candidates = [
+        ((r,), everyone[:r] + everyone[r + 1:], no_keys, x)
+        for r in everyone
+        for x in everyone
+        if r != x and rows[r][x] + rows[x][r] == low
+    ]
+    lesser = None
+    while True:
+        best = None
+        nodes = []
+        for prefix, rest, keys, x in candidates:
+            base = rows[prefix[0]]
+            rx = rows[x]
+            bx = base[x]
+            i = rest.index(x)
+            rest = rest[:i] + rest[i + 1:]
+            keys = [key + (rx[z] + bx - base[z],) for key, z in zip(keys[:i] + keys[i + 1:], rest)]
+            # every node of this depth has the same multiset of old keys, so
+            # comparing the sorted new keys compares the sorted tails
+            tail = sorted(keys)
+            if best is None or tail < best:
+                best = tail
+                nodes = [(prefix + (x,), rest, keys)]
+            elif tail == best:
+                nodes.append((prefix + (x,), rest, keys))
+        if len(nodes) > 1:
+            if lesser is None:
+                lesser = [frozenset(y for y in range(x) if _swappable(rows, n, x, y)) for x in everyone]
+            nodes = [node for node in nodes if _respects_classes(node[0], lesser)]
+        if not best or (len(nodes) == 1 and len(set(best)) == len(best)):
+            break  # every node placed, or one node whose keys fix the rest
+        low = min(nodes[0][2])
+        best = None
+        candidates = []
+        for prefix, rest, keys in nodes:
+            base = rows[prefix[0]]
+            for x, key in zip(rest, keys):
+                if key != low:
+                    continue
+                rx = rows[x]
+                bx = base[x]
+                head = [rx[a] + bx - base[a] for a in prefix]
+                if best is None or head < best:
+                    best = head
+                    candidates = [(prefix, rest, keys, x)]
+                elif head == best:
+                    candidates.append((prefix, rest, keys, x))
+    # order[p] is the index at position p; sigma is its inverse
+    orders = [prefix + tuple(z for _, z in sorted(zip(keys, rest))) for prefix, rest, keys in nodes]
+    return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)
 
 
 def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[LevelMatrix, WeylElement]:
     """Distinguished conjugacy-class representative of an order.
 
-    Over all n! permutations, conjugate, normalize the first row to zero,
-    and keep the row-major lexicographically smallest level.  Two orders are
-    conjugate under the full action iff their canonical levels are equal.
-    Returns the level together with the achieving Weyl element of least permutation.
+    Among the normalized permutation conjugates (conjugate by a permutation,
+    then shift the first row to zero), the row-major lexicographically
+    smallest level.  Two orders are conjugate under the full action iff
+    their canonical levels are equal.  Returns the level together with the
+    achieving Weyl element of least permutation, found by the search of
+    ``_canonical_sigma`` instead of an n! scan.  Sizes above ``search_cap``
+    are refused.
     """
     _require_order(m)
+    _check_search_cap(m.n, search_cap)
     rows = m.entries
-    best, sigma = min(_conjugates(rows, m.n, search_cap))
-    return LevelMatrix(best), WeylElement(rows[sigma.index(0)], sigma)
+    sigma = _canonical_sigma(rows, m.n)
+    return LevelMatrix(_permuted_normalized(rows, m.n, sigma)), WeylElement(rows[sigma.index(0)], sigma)
 
 
 def is_upper_triangular(m: LevelMatrix) -> bool:

@@ -5,7 +5,7 @@ import random
 
 from monorders import EichlerShape, LevelMatrix, WeylElement, canonical_form, is_order
 from monorders.census import _census_box
-from monorders.levels import _is_upper_triangular_rows, _orders_in_box, _permuted_normalized
+from monorders.levels import _conjugates, _is_upper_triangular_rows, _orders_in_box, _permuted_normalized
 
 
 def min_plus_closure(rows):
@@ -121,6 +121,13 @@ def brute_triangular_form(m: LevelMatrix):
     """Lex-min upper triangular normalized permutation conjugate by the n! sweep."""
     best = min(_brute_triangular_candidates(m), default=None)
     return None if best is None else LevelMatrix(best)
+
+
+def brute_canonical_form(m: LevelMatrix):
+    """Canonical form by the n! sweep: the least (normalized conjugate, sigma) pair."""
+    rows = m.entries
+    best, sigma = min(_conjugates(rows, m.n, m.n))
+    return LevelMatrix(best), WeylElement(rows[sigma.index(0)], sigma)
 
 
 def brute_census_counts(n: int, bound: int):

@@ -1,9 +1,18 @@
+import importlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monorders
 from monorders import cli
 from monorders.cli import EXIT_DISAGREEMENT, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
+
+from conftest import random_order
 
 SEC52_TEXT = "4\n0 0 0 0\n1 0 1 0\n1 1 0 0\n2 1 1 0\n"
 NON_ORDER_TEXT = "3\n0 0 0\n0 0 0\n1 0 0\n"
@@ -271,6 +280,24 @@ class TestCensus:
     def test_budget(self, capsys):
         assert main(["census", "4", "--bound", "3", "--budget", "100"]) == EXIT_INPUT
 
+    def test_families_build_one_orbit_per_class(self, capsys, monkeypatch):
+        # the package exports the census function under the submodule's name
+        census_module = importlib.import_module("monorders.census")
+        calls = []
+        conjugates = census_module._conjugates
+
+        def counting(*args):
+            calls.append(args)
+            return conjugates(*args)
+
+        monkeypatch.setattr(census_module, "_conjugates", counting)
+        census_module._orbit.cache_clear()
+        main(["census", "4", "--bound", "2", "--format", "json"])
+        census_scans = len(calls)
+        main(["census", "4", "--bound", "2", "--format", "json", "--families"])
+        classes = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["classes"]
+        assert len(calls) - 2 * census_scans == classes
+
     @pytest.mark.parametrize("argv", [["census", "0"], ["census", "3", "--bound", "-1"]])
     def test_bad_parameters_exit_two(self, argv, capsys):
         assert main(argv) == EXIT_INPUT
@@ -278,3 +305,50 @@ class TestCensus:
         assert captured.out == ""
         assert captured.err.startswith("error: census ")
         assert captured.err.count("\n") == 1
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "3", "--budget", "0"],
+            ["census", "3", "--cap", "0"],
+            ["classify", "LEVEL", "--cap", "-1"],
+            ["classify", "LEVEL", "--oracle", "--budget", "0"],
+            ["overorders", "LEVEL", "--budget", "-5"],
+            ["overorders", "LEVEL", "--budget", "lots"],
+        ],
+    )
+    def test_below_one_is_rejected_at_parse_time(self, argv, sec52_file, capsys):
+        argv = [sec52_file if arg == "LEVEL" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be a positive integer, got {argv[-1]!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    level = random_order(random.Random(8), 8, 5)
+    path = write_level(tmp_path, "m8.lvl", f"8\n{level}\n")
+    src = str(Path(monorders.__file__).resolve().parent.parent)
+    runs = [
+        ["census", "4", "--bound", "2", "--families", "--format", "json"],
+        ["classify", path, "--format", "json"],
+    ]
+    for argv in runs:
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            env.pop(cli.BUDGET_ENV, None)
+            done = subprocess.run(
+                [sys.executable, "-m", "monorders.cli", *argv],
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, argv

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monorders import (
@@ -16,6 +18,8 @@ from monorders import (
     normalize_positive,
     order_violation,
 )
+
+from conftest import brute_canonical_form, enumerate_orders, random_order, random_weyl
 
 
 def M(rows):
@@ -171,6 +175,63 @@ class TestCanonicalForm:
             canonical_form(LevelMatrix.zero(9))
         with pytest.raises(SearchTooLargeError):
             canonical_form(LevelMatrix.zero(3), search_cap=2)
+
+
+def _staircase(blocks, a):
+    # upper triangular, a below the diagonal blocks: Eichler with invariant `blocks`
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
+
+
+def _blow_up(level, sizes):
+    # index i of `level` becomes sizes[i] twins (pair sum 0) with its row and column
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return M([[level.entries[i][j] for j in owner] for i in owner])
+
+
+def _symmetric_levels(rng, n):
+    # the inputs whose ties and transposition classes drive the pruning
+    ones = M([[int(i != j) for j in range(n)] for i in range(n)])
+    split = rng.randint(1, n - 1)
+    levels = [
+        LevelMatrix.zero(n),
+        ones,
+        _staircase((1,) * n, 1),
+        _staircase((split, n - split), 2),
+        _staircase((n // 2, n - n // 2), 1),
+    ]
+    if n >= 3:
+        cuts = sorted(rng.sample(range(1, n), 2))
+        sizes = (cuts[0], cuts[1] - cuts[0], n - cuts[1])
+        levels.append(_blow_up(random_order(rng, 3, 3), sizes))
+    return levels
+
+
+CANONICAL_CASES = (
+    [f"census-{n}-{b}" for n, b in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 1))]
+    + [f"random-{n}" for n in (6, 7, 8)]
+    + [f"symmetric-{n}" for n in range(2, 9)]
+)
+
+
+def _canonical_inputs(name):
+    kind, n, *bound = name.split("-")
+    n = int(n)
+    rng = random.Random(name)
+    if kind == "census":
+        # every census order (of positive type) and a random conjugate of it
+        orders = enumerate_orders(n, int(bound[0]))
+        return orders + [conjugate(m, random_weyl(rng, n)) for m in orders]
+    if kind == "random":
+        count = {6: 6, 7: 3, 8: 1}[n]
+        return [random_order(rng, n, b) for b in (0, 1, 2, 5) for _ in range(count)]
+    return [conjugate(m, random_weyl(rng, n)) for m in _symmetric_levels(rng, n)]
+
+
+@pytest.mark.parametrize("name", CANONICAL_CASES)
+def test_canonical_form_matches_permutation_sweep(name):
+    for m in _canonical_inputs(name):
+        assert canonical_form(m) == brute_canonical_form(m), m
 
 
 class TestUpperTriangular:
