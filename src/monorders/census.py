@@ -17,14 +17,21 @@ family table.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .classify import ClassificationReport, classify, triangular_form
 from .families import Family
-from .levels import DEFAULT_SEARCH_CAP, LevelMatrix, _conjugates, _orders_in_box, _permuted_normalized, is_order
-from .oracle import DEFAULT_BUDGET
+from .levels import (
+    DEFAULT_SEARCH_CAP,
+    LevelMatrix,
+    _check_search_cap,
+    _conjugates,
+    _orders_in_box,
+    canonical_form,
+    is_order,
+)
+from .oracle import DEFAULT_BUDGET, _check_budget
 
 FILTERS = ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
 
@@ -93,14 +100,12 @@ def census(
     Raw orders come from the pruned box search over the census box (see the
     module docstring).  The budget still bounds the raw box, not the search:
     BudgetExceededError is raised up front when (bound+1)**((n-1)**2)
-    exceeds it.  Deterministic: classes are sorted by their canonical level.
+    exceeds it, and then SearchTooLargeError when n exceeds ``search_cap``.
+    Deterministic: classes are sorted by their canonical level.
     """
     n, bound = query.n, query.bound
-    raw_space = (bound + 1) ** ((n - 1) ** 2)
-    if raw_space > budget:
-        raise BudgetExceededError(
-            f"census raw space {raw_space} exceeds the budget {budget}", raw_space
-        )
+    _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
+    _check_search_cap(n, search_cap)
 
     counts: dict[LevelMatrix, int] = {}
     pending = set()  # raw orders of a class already counted, not yet enumerated
@@ -110,7 +115,7 @@ def census(
         if rows in pending:
             pending.remove(rows)
             continue
-        orbit = {level for level, _ in _conjugates(rows, n, search_cap)}
+        orbit = {level for level, _ in _conjugates(rows, n)}
         # conjugates are normalized (zero first row, no negative entry): in the box iff max <= bound
         in_box = {level for level in orbit if max(map(max, level)) <= bound}
         counts[LevelMatrix(min(orbit))] = len(in_box)
@@ -128,29 +133,21 @@ def census(
     return CensusResult(query, selected, totals)
 
 
-@functools.lru_cache(maxsize=1)
-def _orbit(level):
-    # the normalized conjugates of level; the CLI matches one class against
-    # every family in turn, so the last orbit is kept
-    return frozenset(conjugate for conjugate, _ in _conjugates(level.entries, level.n))
-
-
 def match_family(level: LevelMatrix, family: Family):
     """Parameter assignment making the family conjugate to ``level``.
 
     Returns a dict with the family's parameters ({} for the parameterless
     family) or None when no assignment works.  Total: size mismatches and
-    non-orders yield None.  An instance matches when its first-row
-    normalization is one of the normalized conjugates of ``level``.  The
-    search is finite because the maximal off-diagonal pair sum
-    m[i][j] + m[j][i] is a conjugacy invariant and every family pattern
-    realizes it as a, or as a + b.
+    non-orders yield None.  An instance matches when its canonical form is
+    that of ``level``.  The search is finite because the maximal
+    off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant and
+    every family pattern realizes it as a, or as a + b.
     """
     if level.n != family.n or not is_order(level):
         return None
+    target = canonical_form(level)[0]
     rows = level.entries
     n = level.n
-    orbit = _orbit(level)
     pair_max = max(
         (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
     )
@@ -162,6 +159,6 @@ def match_family(level: LevelMatrix, family: Family):
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if _permuted_normalized(instance.entries, n, tuple(range(n))) in orbit:
+        if is_order(instance) and canonical_form(instance)[0] == target:
             return params
     return None

@@ -15,16 +15,12 @@ import os
 import sys
 
 from .errors import MonordersError, NotAnOrderError
-from .census import FILTERS, CensusQuery, census, match_family
+from .census import FILTERS, CensusQuery, _passes, census, match_family
 from .classify import classify
 from .duality import dual_level, lattice_violation, projective_witness
 from .families import load_families
 from .levelio import load_level
-from .levels import (
-    DEFAULT_SEARCH_CAP,
-    normalize_positive,
-    order_violation,
-)
+from .levels import DEFAULT_SEARCH_CAP, _check_search_cap, normalize_positive, order_violation
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
 EXIT_OK = 0
@@ -185,8 +181,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if witness is None else EXIT_NEGATIVE
 
 
-def _oracle_section(level, report, budget):
-    verdict, witness = bass_oracle(level, budget)
+def _oracle_section(answer, report):
+    verdict, witness = answer
     return {
         "is_bass": verdict,
         "agrees": verdict == report.is_bass,
@@ -197,10 +193,13 @@ def _oracle_section(level, report, budget):
 def cmd_classify(args) -> int:
     level = load_level(args.file)
     budget = args.budget if args.budget is not None else _default_budget()
+    answer = None
+    if args.oracle and order_violation(level) is None:
+        # classify's cap refusal first, then the oracle's, before any classifying
+        _check_search_cap(level.n, args.cap)
+        answer = bass_oracle(level, budget)
     report = classify(level, args.cap)
-    oracle = None
-    if args.oracle and report.is_order:
-        oracle = _oracle_section(level, report, budget)
+    oracle = None if answer is None else _oracle_section(answer, report)
 
     if args.format == "json":
         payload = report.to_dict()
@@ -368,16 +367,7 @@ def cmd_census(args) -> int:
         print(f"classes selected: {len(result.classes)}")
     if args.dump:
         for cls in result.classes:
-            report = cls.report
-            marks = []
-            if report.is_gorenstein:
-                marks.append("gorenstein")
-            if report.eichler is not None:
-                marks.append("eichler")
-            if report.is_hereditary:
-                marks.append("hereditary")
-            if report.is_bass:
-                marks.append("bass")
+            marks = [name for name in ("gorenstein", "eichler", "hereditary", "bass") if _passes(name, cls)]
             print(
                 f"  {format_level_compact(cls.canonical)} count={cls.count} "
                 + (" ".join(marks) if marks else "-")
@@ -400,7 +390,8 @@ def cmd_census(args) -> int:
 
 
 def _family_match(cls):
-    for family in load_families():
+    # every family is Gorenstein, so no other class can match
+    for family in load_families() if cls.report.is_gorenstein else ():
         params = match_family(cls.canonical, family)
         if params is not None:
             return {"index": family.index, "params": params}

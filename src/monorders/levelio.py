@@ -100,6 +100,8 @@ def load_level(path) -> LevelMatrix:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return parse_level(text)
 
 

@@ -294,10 +294,10 @@ def _check_search_cap(n, search_cap):
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
 
 
-def _conjugates(rows, n, search_cap=DEFAULT_SEARCH_CAP):
+def _conjugates(rows, n):
     # (normalized permutation conjugate, sigma) for every sigma, in
-    # itertools.permutations order: whole orbits, for census and match_family
-    _check_search_cap(n, search_cap)
+    # itertools.permutations order: whole orbits, for census orbit marking,
+    # which checks the cap before it enumerates
     for sigma in itertools.permutations(range(n)):
         yield _permuted_normalized(rows, n, sigma), sigma
 

@@ -1,10 +1,11 @@
-"""Definition-level brute-force oracles: overorder enumeration, Bass test.
+"""Definition-level oracles: overorder enumeration, Bass test.
 
 Every order containing a monomial order is itself monomial, with an
 entrywise smaller level bounded below by the negated transpose of the base
 level.  That makes the set of overorders a finite box search, and "Bass"
 (every overorder is Gorenstein) directly checkable, independently of the
-structural classification theorems.
+structural classification theorems; ``bass_oracle`` tests the base, then
+the overorders nearest-first, and stops at the first non-Gorenstein one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,27 @@ from .duality import is_gorenstein
 from .levels import LevelMatrix, _orders_in_box, _require_order
 
 DEFAULT_BUDGET = 10**7
+
+# int -> str refuses longer integers by default; a larger size is refused
+# without being printed, or built in full
+_SIZE_DIGITS = 4300
+_LARGEST_PRINTABLE = 10**_SIZE_DIGITS - 1
+
+
+def _check_budget(what, powers, budget):
+    """Raise BudgetExceededError when the product of base**exp over ``powers`` exceeds budget.
+
+    Bases are at least 1, so the product stops once it is over the budget and
+    too long to print; a power whose bit length alone shows that is not built.
+    """
+    cap = max(budget, _LARGEST_PRINTABLE)
+    size = 1
+    for base, exp in powers:
+        size = size * base**exp if exp * (base.bit_length() - 1) <= cap.bit_length() else cap + 1
+        if size > cap:
+            raise BudgetExceededError(f"{what} of more than {_SIZE_DIGITS} digits exceeds the budget {budget}")
+    if size > budget:
+        raise BudgetExceededError(f"{what} {size} exceeds the budget {budget}", size)
 
 
 @dataclass(frozen=True)
@@ -36,11 +58,20 @@ class OverorderSet:
         return level in self.members
 
 
+def _pair_ranges(m):
+    rows = m.entries
+    return (rows[i][j] + rows[j][i] + 1 for j in range(1, m.n) for i in range(j))
+
+
 def overorder_bound(m: LevelMatrix) -> int:
     """Pair-range product used as the search-size guard."""
-    rows = m.entries
-    n = m.n
-    return prod(rows[i][j] + rows[j][i] + 1 for j in range(1, n) for i in range(j))
+    return prod(_pair_ranges(m))
+
+
+def _check_overorder_search(m, budget):
+    # the refusals of overorders and bass_oracle, in this order
+    _require_order(m)
+    _check_budget("overorder search size", ((r, 1) for r in _pair_ranges(m)), budget)
 
 
 def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
@@ -48,15 +79,10 @@ def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
 
     Candidates have zero diagonal and -m[j][i] <= m'[i][j] <= m[i][j]: the
     box [-m^T, m], searched by the pruned pair-by-pair generator shared with
-    the census.  Raises BudgetExceededError when the pair-range product
-    exceeds ``budget``.
+    the census.  Raises NotAnOrderError when m is not an order, then
+    BudgetExceededError when the pair-range product exceeds ``budget``.
     """
-    _require_order(m)
-    bound = overorder_bound(m)
-    if bound > budget:
-        raise BudgetExceededError(
-            f"overorder search size {bound} exceeds the budget {budget}", bound
-        )
+    _check_overorder_search(m, budget)
     rows = m.entries
     lo = tuple(tuple(-row[i] for row in rows) for i in range(m.n))
     found = sorted(_orders_in_box(lo, rows))
@@ -69,20 +95,17 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     Returns (True, None) or (False, w) with w a non-Gorenstein overorder.
     Among the failures, w is the one closest to the base (smallest total
     entrywise difference, ties broken lexicographically), so the witness is
-    a minimal perturbation of the input.
+    a minimal perturbation of the input.  Candidates are tested in that
+    order, the base first (the only one at distance 0, so a non-Gorenstein
+    base needs no enumeration), up to the first failure.  Refuses as
+    ``overorders`` does.
     """
-    rows = m.entries
-    n = m.n
-    best = None
-    for member in overorders(m, budget).members:
-        if is_gorenstein(member):
-            continue
-        distance = sum(
-            rows[i][j] - member.entries[i][j] for i in range(n) for j in range(n)
-        )
-        key = (distance, member.entries)
-        if best is None or key < best[0]:
-            best = (key, member)
-    if best is None:
-        return True, None
-    return False, best[1]
+    _check_overorder_search(m, budget)
+    if not is_gorenstein(m):
+        return False, m
+    total = sum(map(sum, m.entries))
+    # a stable sort: members come sorted by entries, which breaks the ties
+    for member in sorted(overorders(m, budget), key=lambda level: total - sum(map(sum, level.entries))):
+        if not is_gorenstein(member):
+            return False, member
+    return True, None

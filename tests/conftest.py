@@ -1,9 +1,22 @@
 """Shared helpers for the test suite."""
 
+import functools
 import itertools
 import random
 
-from monorders import EichlerShape, LevelMatrix, WeylElement, canonical_form, is_order
+import pytest
+
+from monorders import (
+    CensusQuery,
+    EichlerShape,
+    LevelMatrix,
+    WeylElement,
+    canonical_form,
+    census,
+    is_gorenstein,
+    is_order,
+    overorders,
+)
 from monorders.census import _census_box
 from monorders.levels import _conjugates, _is_upper_triangular_rows, _orders_in_box, _permuted_normalized
 
@@ -60,6 +73,12 @@ def _sorted_orders(box):
 def enumerate_orders(n: int, bound: int):
     """All orders with zero first row, zero diagonal and entries in [0, bound]."""
     return _sorted_orders(_census_box(n, bound))
+
+
+@pytest.fixture(scope="session")
+def census_result():
+    """census(CensusQuery(n, bound)), each (n, bound) run once per test session."""
+    return functools.cache(lambda n, bound: census(CensusQuery(n, bound)))
 
 
 def enumerate_triangular_orders(n: int, bound: int):
@@ -126,7 +145,7 @@ def brute_triangular_form(m: LevelMatrix):
 def brute_canonical_form(m: LevelMatrix):
     """Canonical form by the n! sweep: the least (normalized conjugate, sigma) pair."""
     rows = m.entries
-    best, sigma = min(_conjugates(rows, m.n, m.n))
+    best, sigma = min(_conjugates(rows, m.n))
     return LevelMatrix(best), WeylElement(rows[sigma.index(0)], sigma)
 
 
@@ -140,12 +159,12 @@ def brute_census_counts(n: int, bound: int):
 
 
 def brute_match_family(level: LevelMatrix, family):
-    """match_family by comparing the canonical forms of the level and of each instance."""
+    """match_family by orbit membership: an instance's first-row normalization among the level's conjugates."""
     if level.n != family.n or not is_order(level):
         return None
-    target = canonical_form(level)[0]
     rows = level.entries
     n = level.n
+    orbit = {conjugate for conjugate, _ in _conjugates(rows, n)}
     pair_max = max(
         (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
     )
@@ -157,6 +176,25 @@ def brute_match_family(level: LevelMatrix, family):
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if is_order(instance) and canonical_form(instance)[0] == target:
+        if _permuted_normalized(instance.entries, n, tuple(range(n))) in orbit:
             return params
     return None
+
+
+def brute_bass_oracle(m: LevelMatrix):
+    """bass_oracle by the full scan: Gorenstein-test every overorder, keep the nearest failure."""
+    rows = m.entries
+    n = m.n
+    best = None
+    for member in overorders(m).members:
+        if is_gorenstein(member):
+            continue
+        distance = sum(
+            rows[i][j] - member.entries[i][j] for i in range(n) for j in range(n)
+        )
+        key = (distance, member.entries)
+        if best is None or key < best[0]:
+            best = (key, member)
+    if best is None:
+        return True, None
+    return False, best[1]

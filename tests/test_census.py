@@ -160,9 +160,9 @@ class TestMatchFamily:
             assert len(matches) == 1
 
 
-def test_match_family_matches_canonical_comparison():
+def test_match_family_matches_orbit_membership(census_result):
     rng = random.Random(0)
-    levels = [c.canonical for c in census(CensusQuery(4, 2)).classes]
+    levels = [c.canonical for c in census_result(4, 2).classes]
     levels += [conjugate(level, random_weyl(rng, 4)) for level in levels]
     levels += [M([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [5, 0, 0, 0]]), M([[0, 0], [1, 0]])]
     for family in load_families():
@@ -188,11 +188,12 @@ class TestFamilies:
             families[1].instantiate(a=0)  # not positive
 
     def test_instances_are_gorenstein_orders(self):
+        # the CLI matches families only against Gorenstein classes
         from monorders import is_gorenstein, is_order
 
         for family in load_families():
-            for a in (1, 2):
-                for b in (1, 2):
+            for a in range(1, 5):
+                for b in range(1, 5):
                     kwargs = {}
                     if "a" in family.params:
                         kwargs["a"] = a

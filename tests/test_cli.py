@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import monorders
-from monorders import cli
+from monorders import LevelMatrix, cli
 from monorders.cli import EXIT_DISAGREEMENT, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 from conftest import random_order
@@ -230,6 +231,24 @@ class TestSearchCap:
         assert main(["classify", path, "--cap", "2"]) == EXIT_INPUT
         assert "cap" in capsys.readouterr().err
 
+    def test_classify_cap_comes_before_the_oracle_budget(self, tmp_path, capsys):
+        path = write_level(tmp_path, "m.lvl", "3\n0 0 0\n1 0 0\n1 1 0\n")
+        assert main(["classify", path, "--oracle", "--cap", "2", "--budget", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: canonical form of size 3 exceeds the cap 2\n"
+        assert main(["classify", path, "--oracle", "--budget", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: overorder search size 8 exceeds the budget 1\n"
+
+    def test_census_cap_refuses_before_enumerating(self, capsys, monkeypatch):
+        def search(*args):
+            raise AssertionError("the census box was searched")
+
+        # the package exports the census function under the submodule's name
+        monkeypatch.setattr(importlib.import_module("monorders.census"), "_orders_in_box", search)
+        assert main(["census", "5000", "--bound", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: canonical form of size 5000 exceeds the cap 8\n"
+
     def test_census_cap_refuses_before_any_orbit_scan(self, capsys, monkeypatch):
         def scan(*args):
             raise AssertionError("a conjugate was built")
@@ -280,23 +299,30 @@ class TestCensus:
     def test_budget(self, capsys):
         assert main(["census", "4", "--bound", "3", "--budget", "100"]) == EXIT_INPUT
 
-    def test_families_build_one_orbit_per_class(self, capsys, monkeypatch):
+    def test_families_build_no_orbit(self, capsys, monkeypatch):
         # the package exports the census function under the submodule's name
         census_module = importlib.import_module("monorders.census")
         calls = []
-        conjugates = census_module._conjugates
+        for module in (census_module, importlib.import_module("monorders.levels")):
+            conjugates = module._conjugates
 
-        def counting(*args):
-            calls.append(args)
-            return conjugates(*args)
+            def counting(*args, conjugates=conjugates):
+                calls.append(args)
+                return conjugates(*args)
 
-        monkeypatch.setattr(census_module, "_conjugates", counting)
-        census_module._orbit.cache_clear()
+            monkeypatch.setattr(module, "_conjugates", counting)
+        matched = []
+        monkeypatch.setattr(cli, "match_family", lambda level, family: matched.append(level))
         main(["census", "4", "--bound", "2", "--format", "json"])
         census_scans = len(calls)
+        capsys.readouterr()
         main(["census", "4", "--bound", "2", "--format", "json", "--families"])
-        classes = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["classes"]
-        assert len(calls) - 2 * census_scans == classes
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert census_scans > 0
+        assert len(calls) == 2 * census_scans
+        # only the Gorenstein classes are matched, each against all seven families
+        gorenstein = [LevelMatrix.from_rows(c["canonical"]) for c in lines if c.get("report", {}).get("is_gorenstein")]
+        assert gorenstein and matched == [level for level in gorenstein for _ in range(7)]
 
     @pytest.mark.parametrize("argv", [["census", "0"], ["census", "3", "--bound", "-1"]])
     def test_bad_parameters_exit_two(self, argv, capsys):
@@ -305,6 +331,36 @@ class TestCensus:
         assert captured.out == ""
         assert captured.err.startswith("error: census ")
         assert captured.err.count("\n") == 1
+
+
+class TestHugeSearchSizes:
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (["census", "200", "--bound", "1"], "census raw space"),
+            (["census", "100000", "--bound", "1"], "census raw space"),
+            (["overorders", "LEVEL"], "overorder search size"),
+            (["classify", "LEVEL", "--oracle", "--cap", "200"], "overorder search size"),
+            (["classify", "LEVEL", "--oracle", "--cap", "200", "--format", "json"], "overorder search size"),
+        ],
+    )
+    def test_refused_without_printing_the_size(self, argv, what, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        # 11**4950 has 5,155 digits; 2**(99999**2) has about 3e9
+        n = 100
+        text = f"{n}\n" + "".join(" ".join("0" if i == j else "5" for j in range(n)) + "\n" for i in range(n))
+        path = write_level(tmp_path, "fives.lvl", text)
+        argv = [path if arg == "LEVEL" else arg for arg in argv]
+        start = time.perf_counter()
+        assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} of more than 4300 digits exceeds the budget 10000000\n"
+
+    def test_printable_sizes_are_still_printed(self, capsys):
+        assert main(["census", "4", "--bound", "3", "--budget", "100"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: census raw space 262144 exceeds the budget 100\n"
 
 
 class TestFlagValues:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monorders import (
@@ -6,12 +8,13 @@ from monorders import (
     NotAnOrderError,
     bass_oracle,
     canonical_form,
+    conjugate,
     is_gorenstein,
     is_order,
     overorder_bound,
     overorders,
 )
-from conftest import enumerate_orders
+from conftest import brute_bass_oracle, enumerate_orders, random_weyl
 
 
 def M(rows):
@@ -114,3 +117,41 @@ class TestBassOracle:
             if not verdict:
                 assert witness in overorders(m)
                 assert not is_gorenstein(witness)
+
+    def test_refuses_a_non_order_before_the_budget(self):
+        non_order = M([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        with pytest.raises(NotAnOrderError):
+            bass_oracle(non_order, budget=1)
+
+    def test_refuses_over_budget_even_when_the_base_decides(self):
+        m = M([[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+        assert not is_gorenstein(m)
+        with pytest.raises(BudgetExceededError) as info:
+            bass_oracle(m, budget=10)
+        assert info.value.bound == overorder_bound(m)
+
+
+def _period_two(sizes, a):
+    # upper triangular with a below the two diagonal blocks: Eichler of period two
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
+
+
+ORACLE_CASES = ["census-3-5", "census-4-2", "census-5-1", "gorenstein-4-3", "period-two", "sec52"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_bass_oracle_matches_full_scan(name, census_result):
+    kind, *size = name.split("-")
+    if kind in ("census", "gorenstein"):
+        classes = census_result(int(size[0]), int(size[1])).classes
+        levels = [c.canonical for c in classes if kind == "census" or c.report.is_gorenstein]
+    elif kind == "period":
+        levels = [
+            _period_two((k, n - k), a) for n in range(2, 6) for k in range(1, n) for a in (1, 2, 3)
+        ]
+    else:
+        levels = [SEC52, SEC52_OVER]
+    rng = random.Random(name)
+    for m in levels + [conjugate(m, random_weyl(rng, m.n)) for m in levels]:
+        assert bass_oracle(m) == brute_bass_oracle(m), m
