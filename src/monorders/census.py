@@ -33,7 +33,14 @@ from .levels import (
 )
 from .oracle import DEFAULT_BUDGET, _check_budget
 
-FILTERS = ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
+#: Each filter name and its test of a census class.
+FILTERS = {
+    "gorenstein": lambda cls: bool(cls.report.is_gorenstein),
+    "eichler": lambda cls: cls.report.eichler is not None,
+    "hereditary": lambda cls: bool(cls.report.is_hereditary),
+    "bass": lambda cls: bool(cls.report.is_bass),
+    "upper_triangular": lambda cls: triangular_form(cls.canonical) is not None,
+}
 
 
 @dataclass(frozen=True)
@@ -67,21 +74,6 @@ class CensusResult:
     query: CensusQuery
     classes: tuple[CensusClass, ...]
     totals: dict
-
-
-def _passes(name, cls):
-    report = cls.report
-    if name == "gorenstein":
-        return bool(report.is_gorenstein)
-    if name == "eichler":
-        return report.eichler is not None
-    if name == "hereditary":
-        return bool(report.is_hereditary)
-    if name == "bass":
-        return bool(report.is_bass)
-    if name == "upper_triangular":
-        return triangular_form(cls.canonical) is not None
-    raise ValueError(name)
 
 
 def _census_box(n, bound):
@@ -126,7 +118,7 @@ def census(
         report = classify(canonical, search_cap)
         all_classes.append(CensusClass(canonical, report, counts[canonical]))
 
-    passed = [frozenset(name for name in FILTERS if _passes(name, c)) for c in all_classes]
+    passed = [frozenset(name for name, test in FILTERS.items() if test(c)) for c in all_classes]
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
     totals.update({name: sum(name in p for p in passed) for name in FILTERS})
     selected = tuple(c for c, p in zip(all_classes, passed) if query.filters <= p)

@@ -24,6 +24,7 @@ from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
     WeylElement,
+    _is_upper_triangular_rows,
     _require_order,
     canonical_form,
     is_upper_triangular,
@@ -117,8 +118,7 @@ def _triangular_rows(rows, n):
         norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
         order = sorted(range(n), key=lambda i: sum(norm[k][i] == 0 for k in range(n)))
         candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
-        upper = all(e == 0 for i, row in enumerate(candidate) for e in row[i:])
-        if upper and (best is None or candidate < best):
+        if _is_upper_triangular_rows(candidate, n) and (best is None or candidate < best):
             best = candidate
     return best
 

@@ -15,11 +15,11 @@ import os
 import sys
 
 from .errors import MonordersError, NotAnOrderError
-from .census import FILTERS, CensusQuery, _passes, census, match_family
+from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
 from .duality import dual_level, lattice_violation, projective_witness
 from .families import load_families
-from .levelio import load_level
+from .levelio import _parse_int, load_level
 from .levels import DEFAULT_SEARCH_CAP, _check_search_cap, normalize_positive, order_violation
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
@@ -42,7 +42,9 @@ def _positive_int(raw):
     return value
 
 
-def _default_budget():
+def _budget(flag):
+    if flag is not None:
+        return flag
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -192,7 +194,7 @@ def _oracle_section(answer, report):
 
 def cmd_classify(args) -> int:
     level = load_level(args.file)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args.budget)
     answer = None
     if args.oracle and order_violation(level) is None:
         # classify's cap refusal first, then the oracle's, before any classifying
@@ -268,7 +270,7 @@ def cmd_dual(args) -> int:
 def _parse_type_vector(raw, n):
     tokens = [t for t in raw.replace(",", " ").split() if t]
     try:
-        values = tuple(int(t) for t in tokens)
+        values = tuple(map(_parse_int, tokens))
     except ValueError:
         raise MonordersError(f"type vector must be integers, got {raw!r}")
     if len(values) != n:
@@ -321,8 +323,7 @@ def cmd_projective(args) -> int:
 def cmd_overorders(args) -> int:
     level = load_level(args.file)
     _require_order_input(level)
-    budget = args.budget if args.budget is not None else _default_budget()
-    result = overorders(level, budget)
+    result = overorders(level, _budget(args.budget))
     if args.format == "json":
         payload = {"count": len(result), "bound": overorder_bound(level)}
         if args.dump:
@@ -340,7 +341,7 @@ def cmd_census(args) -> int:
     filters = frozenset(args.filter or ())
     if args.families and args.n != 4:
         raise MonordersError("--families requires n=4")
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args.budget)
     query = CensusQuery(args.n, args.bound, filters)
     result = census(query, budget, args.cap)
 
@@ -367,7 +368,7 @@ def cmd_census(args) -> int:
         print(f"classes selected: {len(result.classes)}")
     if args.dump:
         for cls in result.classes:
-            marks = [name for name in ("gorenstein", "eichler", "hereditary", "bass") if _passes(name, cls)]
+            marks = [name for name in ("gorenstein", "eichler", "hereditary", "bass") if FILTERS[name](cls)]
             print(
                 f"  {format_level_compact(cls.canonical)} count={cls.count} "
                 + (" ".join(marks) if marks else "-")

@@ -54,7 +54,7 @@ class BudgetExceededError(MonordersError):
 
 
 class ParseError(MonordersError):
-    """A level file could not be parsed."""
+    """A level file or an integer on the command line could not be parsed."""
 
     def __init__(self, message, line=None, column=None):
         location = ""

@@ -31,7 +31,7 @@ def parse_level_text(text: str) -> LevelMatrix:
     tokens = list(_TOKEN.finditer(header))
     if len(tokens) != 1 or not _is_int(tokens[0].group()):
         raise ParseError("expected a single integer n on the first line", line=lineno)
-    n = _to_int(tokens[0], lineno)
+    n = _parse_int(tokens[0].group(), lineno, tokens[0].start() + 1)
     if n < 1:
         raise ParseError(f"matrix size must be positive, got {n}", line=lineno)
     if len(significant) - 1 != n:
@@ -51,7 +51,7 @@ def parse_level_text(text: str) -> LevelMatrix:
                     line=lineno,
                     column=match.start() + 1,
                 )
-            row.append(_to_int(match, lineno))
+            row.append(_parse_int(token, lineno, match.start() + 1))
         if len(row) != n:
             raise ParseError(
                 f"expected {n} entries in this row, found {len(row)}", line=lineno
@@ -62,17 +62,17 @@ def parse_level_text(text: str) -> LevelMatrix:
 
 def parse_level_json(text: str) -> LevelMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
-    except ValueError:  # an integer beyond int()'s digit limit
+    except (ParseError, ValueError):  # ValueError: a lower digit limit set for the interpreter
         raise ParseError(f"invalid JSON: {_TOO_LONG}") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict) or "n" not in data or "m" not in data:
         raise ParseError('JSON level must be an object with keys "n" and "m"')
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError('"n" must be a positive integer')
     if (
         not isinstance(m, list)
@@ -122,8 +122,10 @@ def _is_int(token: str) -> bool:
     return token.isdecimal()
 
 
-def _to_int(match, lineno) -> int:
-    try:
-        return int(match.group())
-    except ValueError:  # beyond int()'s digit limit
-        raise ParseError(_TOO_LONG, line=lineno, column=match.start() + 1) from None
+def _parse_int(token: str, line=None, column=None) -> int:
+    # every printed value is a sum of at most three input integers (a canonical
+    # entry is m[i][j] + m[r][i] - m[r][j]), so refusing more than 4,299 digits
+    # keeps it within the 4,300 digits that str() of an int allows
+    if sum(map(str.isdecimal, token)) > 4299:
+        raise ParseError(_TOO_LONG, line=line, column=column)
+    return int(token)

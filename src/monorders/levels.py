@@ -9,7 +9,8 @@ decides this and ``order_violation`` reports the first broken constraint.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
-:class:`WeylElement` and implemented by :func:`conjugate`; the convention
+:class:`WeylElement` and computed by one loop, ``_conjugate_rows``, behind
+:func:`conjugate`, the canonical form and the orbit scans; the convention
 used throughout is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
@@ -239,18 +240,7 @@ def _require_order(m):
         raise NotAnOrderError(f"level is not an order (violation at {witness})", witness)
 
 
-def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
-    """Conjugate a level by a Weyl element.
-
-    Entry (perm[i], perm[j]) of the result is m[i][j] + shifts[i] - shifts[j].
-    The order condition is preserved in both directions.
-    """
-    n = m.n
-    if w.n != n:
-        raise DimensionMismatch(f"level has size {n} but element has size {w.n}")
-    rows = m.entries
-    perm = w.perm
-    shifts = w.shifts
+def _conjugate_rows(rows, n, shifts, perm):
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         target = out[perm[i]]
@@ -258,7 +248,18 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
         ri = rows[i]
         for j in range(n):
             target[perm[j]] = ri[j] + si - shifts[j]
-    return LevelMatrix(tuple(tuple(r) for r in out))
+    return tuple(tuple(r) for r in out)
+
+
+def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
+    """Conjugate a level by a Weyl element.
+
+    Entry (perm[i], perm[j]) of the result is m[i][j] + shifts[i] - shifts[j].
+    The order condition is preserved in both directions.
+    """
+    if w.n != m.n:
+        raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
+    return LevelMatrix(_conjugate_rows(m.entries, m.n, w.shifts, w.perm))
 
 
 def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:
@@ -273,22 +274,6 @@ def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:
     return PositiveTypeForm(conjugate(m, w), w)
 
 
-def _permuted_normalized(rows, n, sigma):
-    # rows of conjugate(m, (0, sigma)) followed by first-row normalization,
-    # computed in one pass: with r = sigma^{-1}(0), entry (sigma[i], sigma[j])
-    # is m[i][j] + m[r][i] - m[r][j].
-    r = sigma.index(0)
-    base = rows[r]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        target = out[sigma[i]]
-        bi = base[i]
-        ri = rows[i]
-        for j in range(n):
-            target[sigma[j]] = ri[j] + bi - base[j]
-    return tuple(tuple(row) for row in out)
-
-
 def _check_search_cap(n, search_cap):
     if n > search_cap:
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
@@ -297,9 +282,9 @@ def _check_search_cap(n, search_cap):
 def _conjugates(rows, n):
     # (normalized permutation conjugate, sigma) for every sigma, in
     # itertools.permutations order: whole orbits, for census orbit marking,
-    # which checks the cap before it enumerates
+    # which checks the cap before it enumerates; the shifts m[sigma^{-1}(0)] zero the first row
     for sigma in itertools.permutations(range(n)):
-        yield _permuted_normalized(rows, n, sigma), sigma
+        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
 
 
 def _swappable(rows, n, x, y):
@@ -346,17 +331,27 @@ def _canonical_sigma(rows, n):
     if n == 1:
         return (0,)
     everyone = tuple(range(n))
-    # depth 1: the head of row 1 is the pair sum of a_0 and a_1
-    low = min(rows[r][x] + rows[x][r] for x in everyone for r in range(x))
-    no_keys = ((),) * (n - 1)
-    candidates = [
-        ((r,), everyone[:r] + everyone[r + 1:], no_keys, x)
-        for r in everyone
-        for x in everyone
-        if r != x and rows[r][x] + rows[x][r] == low
-    ]
+    # one node per root a_0; with no keys yet every other index is a
+    # candidate, and its head is its pair sum with a_0
+    nodes = [((r,), everyone[:r] + everyone[r + 1:], ((),) * (n - 1)) for r in everyone]
     lesser = None
     while True:
+        low = min(nodes[0][2])
+        best = None
+        candidates = []
+        for prefix, rest, keys in nodes:
+            base = rows[prefix[0]]
+            for x, key in zip(rest, keys):
+                if key != low:
+                    continue
+                rx = rows[x]
+                bx = base[x]
+                head = [rx[a] + bx - base[a] for a in prefix]
+                if best is None or head < best:
+                    best = head
+                    candidates = [(prefix, rest, keys, x)]
+                elif head == best:
+                    candidates.append((prefix, rest, keys, x))
         best = None
         nodes = []
         for prefix, rest, keys, x in candidates:
@@ -380,22 +375,6 @@ def _canonical_sigma(rows, n):
             nodes = [node for node in nodes if _respects_classes(node[0], lesser)]
         if not best or (len(nodes) == 1 and len(set(best)) == len(best)):
             break  # every node placed, or one node whose keys fix the rest
-        low = min(nodes[0][2])
-        best = None
-        candidates = []
-        for prefix, rest, keys in nodes:
-            base = rows[prefix[0]]
-            for x, key in zip(rest, keys):
-                if key != low:
-                    continue
-                rx = rows[x]
-                bx = base[x]
-                head = [rx[a] + bx - base[a] for a in prefix]
-                if best is None or head < best:
-                    best = head
-                    candidates = [(prefix, rest, keys, x)]
-                elif head == best:
-                    candidates.append((prefix, rest, keys, x))
     # order[p] is the index at position p; sigma is its inverse
     orders = [prefix + tuple(z for _, z in sorted(zip(keys, rest))) for prefix, rest, keys in nodes]
     return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)
@@ -414,9 +393,9 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
     """
     _require_order(m)
     _check_search_cap(m.n, search_cap)
-    rows = m.entries
-    sigma = _canonical_sigma(rows, m.n)
-    return LevelMatrix(_permuted_normalized(rows, m.n, sigma)), WeylElement(rows[sigma.index(0)], sigma)
+    sigma = _canonical_sigma(m.entries, m.n)
+    w = WeylElement(m.entries[sigma.index(0)], sigma)
+    return conjugate(m, w), w
 
 
 def is_upper_triangular(m: LevelMatrix) -> bool:

@@ -18,7 +18,7 @@ from monorders import (
     overorders,
 )
 from monorders.census import _census_box
-from monorders.levels import _conjugates, _is_upper_triangular_rows, _orders_in_box, _permuted_normalized
+from monorders.levels import _conjugate_rows, _conjugates, _is_upper_triangular_rows, _orders_in_box
 
 
 def min_plus_closure(rows):
@@ -89,7 +89,7 @@ def enumerate_triangular_orders(n: int, bound: int):
 def _brute_triangular_candidates(m: LevelMatrix):
     # every upper triangular normalized permutation conjugate, one per n! scan step
     for sigma in itertools.permutations(range(m.n)):
-        candidate = _permuted_normalized(m.entries, m.n, sigma)
+        candidate = _conjugate_rows(m.entries, m.n, m.entries[sigma.index(0)], sigma)
         if _is_upper_triangular_rows(candidate, m.n):
             yield candidate
 
@@ -176,7 +176,7 @@ def brute_match_family(level: LevelMatrix, family):
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if _permuted_normalized(instance.entries, n, tuple(range(n))) in orbit:
+        if _conjugate_rows(instance.entries, n, instance.entries[0], tuple(range(n))) in orbit:
             return params
     return None
 

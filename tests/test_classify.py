@@ -105,12 +105,12 @@ class TestClassifyEichler:
         # conjugation invariants, so every triangular conjugate must agree
         import itertools
 
-        from monorders.levels import _is_upper_triangular_rows, _permuted_normalized
+        from monorders.levels import _conjugate_rows, _is_upper_triangular_rows
 
         for m in enumerate_triangular_orders(4, 2):
             shapes = set()
             for sigma in itertools.permutations(range(4)):
-                rows = _permuted_normalized(m.entries, 4, sigma)
+                rows = _conjugate_rows(m.entries, 4, m.entries[sigma.index(0)], sigma)
                 if _is_upper_triangular_rows(rows, 4):
                     shape = _staircase_shape(rows, 4)
                     if shape is not None:

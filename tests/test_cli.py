@@ -171,6 +171,43 @@ class TestProjective:
         assert main(["projective", path, "--type", "zero,one"]) == EXIT_INPUT
 
 
+class TestLongEntries:
+    # a canonical entry is a sum of three input entries: 4,300 nines would
+    # print as a 4,301-digit sum, which str() refuses, so they are refused up front
+    NINES = "9" * 4300
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_classify_refuses_them_in_either_file_format(self, fmt, tmp_path, capsys):
+        n9 = self.NINES
+        text = write_level(tmp_path, "long.lvl", f"2\n0 {n9}\n{n9} 0\n")
+        data = write_level(tmp_path, "long.json", f'{{"n": 2, "m": [[0, {n9}], [{n9}, 0]]}}')
+        for path, message in [
+            (text, "line 2, column 3: integer has too many digits"),
+            (data, "invalid JSON: integer has too many digits"),
+        ]:
+            assert main(["classify", path, "--format", fmt]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    def test_projective_refuses_them_in_the_type(self, tmp_path, capsys):
+        # the type moves with the shifts (0, 5): 4,300 nines plus 5 has 4,301 digits
+        path = write_level(tmp_path, "five.lvl", "2\n0 5\n0 0\n")
+        argv = ["projective", path, "--type", f"{self.NINES},{self.NINES}", "--format", "json"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: integer has too many digits\n"
+        long_file = write_level(tmp_path, "long.lvl", f"2\n0 {self.NINES}\n{self.NINES} 0\n")
+        assert main(["projective", long_file, "--type", f"0,{self.NINES}", "--format", "json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: line 2, column 3: integer has too many digits\n"
+
+    def test_one_digit_fewer_is_classified(self, tmp_path, capsys):
+        n9 = self.NINES[1:]
+        path = write_level(tmp_path, "long.lvl", f"2\n0 {n9}\n{n9} 0\n")
+        assert main(["classify", path, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["canonical"] == [[0, 0], [2 * int(n9), 0]]
+
+
 class TestOverorders:
     def test_count_and_dump(self, tmp_path, capsys):
         path = write_level(tmp_path, "h.lvl", "2\n0 0\n1 0\n")
@@ -253,7 +290,7 @@ class TestSearchCap:
         def scan(*args):
             raise AssertionError("a conjugate was built")
 
-        monkeypatch.setattr("monorders.levels._permuted_normalized", scan)
+        monkeypatch.setattr("monorders.levels._conjugate_rows", scan)
         assert main(["census", "4", "--cap", "3"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -384,6 +421,15 @@ class TestFlagValues:
         assert captured.out == ""
         assert f"must be a positive integer, got {argv[-1]!r}" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["classify", "LEVEL"], ["overorders", "LEVEL"], ["census", "3"]])
+    def test_budget_env_is_read_unless_the_flag_is_given(self, argv, sec52_file, capsys, monkeypatch):
+        # classify reads it even without --oracle
+        monkeypatch.setenv(cli.BUDGET_ENV, "lots")
+        argv = [sec52_file if arg == "LEVEL" else arg for arg in argv]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {cli.BUDGET_ENV} must be a positive integer, got 'lots'\n"
+        assert main(argv + ["--budget", "1000000"]) == EXIT_OK
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -92,6 +92,11 @@ def test_json_validation():
         parse_level_json("{not json")
 
 
+def test_json_boolean_size_rejected():
+    with pytest.raises(ParseError, match='"n" must be a positive integer'):
+        parse_level_json('{"n": true, "m": [[0]]}')
+
+
 def test_load_level_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_level(tmp_path / "missing.lvl")

@@ -106,6 +106,19 @@ class TestConjugate:
         with pytest.raises(DimensionMismatch):
             conjugate(M([[0]]), WeylElement.identity(2))
 
+    def test_matches_its_formula_entrywise(self):
+        # canonical_form, the census orbits and the brute-force oracles all
+        # build conjugates with one kernel, so no differential test sees it
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            m = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+            w = random_weyl(rng, n)
+            c = conjugate(m, w).entries
+            for i in range(n):
+                for j in range(n):
+                    assert c[w.perm[i]][w.perm[j]] == m.entries[i][j] + w.shifts[i] - w.shifts[j]
+
     def test_preserves_order_condition_both_ways(self):
         m = M([[0, 0], [1, 0]])
         w = WeylElement((5, -3), (1, 0))
