@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .classify import ClassificationReport, classify, triangular_form
+from .classify import ClassificationReport, classify
 from .families import Family
 from .levels import (
     DEFAULT_SEARCH_CAP,
@@ -39,7 +39,7 @@ FILTERS = {
     "eichler": lambda cls: cls.report.eichler is not None,
     "hereditary": lambda cls: bool(cls.report.is_hereditary),
     "bass": lambda cls: bool(cls.report.is_bass),
-    "upper_triangular": lambda cls: triangular_form(cls.canonical) is not None,
+    "upper_triangular": lambda cls: cls.report.triangular is not None,
 }
 
 

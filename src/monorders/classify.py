@@ -8,9 +8,9 @@ period-1 case), and Bass means hereditary or Eichler of period two.
 ``classify`` bundles every verdict, with witnesses, into one report.
 
 The verdicts read one triangular conjugate, found in O(n^3) by sorting along
-a shortest-path preorder, so they take no size cap; only the canonical form
-in ``classify`` keeps one (it is a pruned search over placements, see
-``levels.canonical_form``).
+a shortest-path preorder, so they take no size cap; ``classify`` finds it
+once and keeps it in its report.  Only its canonical form keeps a cap (a
+pruned search over placements, see ``levels.canonical_form``).
 """
 
 from __future__ import annotations
@@ -127,12 +127,12 @@ def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
     """Eichler shape of an order, read off any triangular conjugate.
 
     The nonzero below-diagonal values of a triangular form are its nonzero
-    pair sums m[i][j] + m[j][i], which are conjugation invariants, so one
-    triangular form decides the shape; the invariant is returned in
-    canonical (cyclic-min) rotation.  None when no conjugate matches.
+    pair sums m[i][j] + m[j][i], which are conjugation invariants, so any
+    triangular form decides the shape, m itself when upper triangular; the
+    invariant is in canonical (cyclic-min) rotation.  None when none matches.
     """
     _require_order(m)
-    rows = _triangular_rows(m.entries, m.n)
+    rows = m.entries if is_upper_triangular(m) else _triangular_rows(m.entries, m.n)
     shape = None if rows is None else _staircase_shape(rows, m.n)
     return None if shape is None else shape.canonical()
 
@@ -188,7 +188,8 @@ class ClassificationReport:
 
     For non-orders only ``is_order`` and ``order_violation`` are populated.
     The verdict chain hereditary => bass => gorenstein always holds, and an
-    Eichler shape is present only for Gorenstein orders.
+    Eichler shape is present only for Gorenstein orders.  ``triangular``, the
+    ``triangular_form`` that the shape is read from, is left out of ``to_dict``.
     """
 
     is_order: bool
@@ -202,6 +203,7 @@ class ClassificationReport:
     is_hereditary: Optional[bool] = None
     is_bass: Optional[bool] = None
     bass_reason: Optional[str] = None
+    triangular: Optional[LevelMatrix] = None
 
     def to_dict(self) -> dict:
         """JSON-ready dictionary with stable field names."""
@@ -240,7 +242,8 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
         return ClassificationReport(is_order=False, order_violation=violation)
     canonical, witness = canonical_form(m, search_cap)
     gw, failing = _gorenstein_scan(m)
-    shape = classify_eichler(m)
+    triangular = triangular_form(m)
+    shape = None if triangular is None else classify_eichler(triangular)
     hereditary, bass, reason = _bass_verdict(shape)
     return ClassificationReport(
         is_order=True,
@@ -253,4 +256,5 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
         is_hereditary=hereditary,
         is_bass=bass,
         bass_reason=reason,
+        triangular=triangular,
     )

@@ -19,7 +19,7 @@ from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
 from .duality import dual_level, lattice_violation, projective_witness
 from .families import load_families
-from .levelio import _parse_int, load_level
+from .levelio import _is_int, _parse_int, load_level
 from .levels import DEFAULT_SEARCH_CAP, _check_search_cap, normalize_positive, order_violation
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
@@ -268,11 +268,10 @@ def cmd_dual(args) -> int:
 
 
 def _parse_type_vector(raw, n):
-    tokens = [t for t in raw.replace(",", " ").split() if t]
-    try:
-        values = tuple(map(_parse_int, tokens))
-    except ValueError:
+    tokens = raw.replace(",", " ").split()
+    if not all(map(_is_int, tokens)):
         raise MonordersError(f"type vector must be integers, got {raw!r}")
+    values = tuple(map(_parse_int, tokens))
     if len(values) != n:
         raise MonordersError(f"type vector has length {len(values)}, expected {n}")
     return values

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .errors import ParseError
 from .levels import LevelMatrix
@@ -65,7 +66,7 @@ def parse_level_json(text: str) -> LevelMatrix:
         data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
-    except (ParseError, ValueError):  # ValueError: a lower digit limit set for the interpreter
+    except ParseError:
         raise ParseError(f"invalid JSON: {_TOO_LONG}") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
@@ -122,10 +123,15 @@ def _is_int(token: str) -> bool:
     return token.isdecimal()
 
 
+def _digit_limit() -> int:
+    """L: the interpreter's int/str digit limit if set below 4,300, else 4,300."""
+    return min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
+
+
 def _parse_int(token: str, line=None, column=None) -> int:
     # every printed value is a sum of at most three input integers (a canonical
-    # entry is m[i][j] + m[r][i] - m[r][j]), so refusing more than 4,299 digits
-    # keeps it within the 4,300 digits that str() of an int allows
-    if sum(map(str.isdecimal, token)) > 4299:
+    # entry is m[i][j] + m[r][i] - m[r][j]), so refusing more than L - 1 digits
+    # keeps it within the L digits that int() and str() allow
+    if sum(map(str.isdecimal, token)) >= _digit_limit():
         raise ParseError(_TOO_LONG, line=line, column=column)
     return int(token)

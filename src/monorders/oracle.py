@@ -15,14 +15,10 @@ from math import prod
 
 from .errors import BudgetExceededError
 from .duality import is_gorenstein
+from .levelio import _digit_limit
 from .levels import LevelMatrix, _orders_in_box, _require_order
 
 DEFAULT_BUDGET = 10**7
-
-# int -> str refuses longer integers by default; a larger size is refused
-# without being printed, or built in full
-_SIZE_DIGITS = 4300
-_LARGEST_PRINTABLE = 10**_SIZE_DIGITS - 1
 
 
 def _check_budget(what, powers, budget):
@@ -31,12 +27,13 @@ def _check_budget(what, powers, budget):
     Bases are at least 1, so the product stops once it is over the budget and
     too long to print; a power whose bit length alone shows that is not built.
     """
-    cap = max(budget, _LARGEST_PRINTABLE)
+    digits = _digit_limit()
+    cap = max(budget, 10**digits - 1)
     size = 1
     for base, exp in powers:
         size = size * base**exp if exp * (base.bit_length() - 1) <= cap.bit_length() else cap + 1
         if size > cap:
-            raise BudgetExceededError(f"{what} of more than {_SIZE_DIGITS} digits exceeds the budget {budget}")
+            raise BudgetExceededError(f"{what} of more than {digits} digits exceeds the budget {budget}")
     if size > budget:
         raise BudgetExceededError(f"{what} {size} exceeds the budget {budget}", size)
 

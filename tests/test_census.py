@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -18,7 +19,13 @@ from monorders import (
 from monorders.census import _census_box
 from monorders.levels import _orders_in_box
 
-from conftest import brute_census_counts, brute_match_family, random_weyl, triangular_box
+from conftest import (
+    brute_census_counts,
+    brute_match_family,
+    brute_triangular_form,
+    random_weyl,
+    triangular_box,
+)
 
 
 def M(rows):
@@ -70,6 +77,24 @@ def test_box_search_matches_product_filter(name):
 def test_orbit_marking_matches_canonical_fold(n, bound):
     result = census(CensusQuery(n, bound))
     assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
+    triangular = sum(brute_triangular_form(c.canonical) is not None for c in result.classes)
+    assert result.totals["upper_triangular"] == triangular
+
+
+def test_one_triangular_search_per_class(monkeypatch):
+    # classify keeps the triangular form, and the upper_triangular filter reads it
+    classify_module = importlib.import_module("monorders.classify")
+    calls = []
+    search = classify_module._triangular_rows
+
+    def counting(rows, n):
+        calls.append(rows)
+        return search(rows, n)
+
+    monkeypatch.setattr(classify_module, "_triangular_rows", counting)
+    result = census(CensusQuery(4, 2))
+    assert result.totals["classes"] > 0
+    assert len(calls) == result.totals["classes"]
 
 
 class TestCensus:

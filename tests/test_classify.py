@@ -112,11 +112,18 @@ class TestClassifyEichler:
             for sigma in itertools.permutations(range(4)):
                 rows = _conjugate_rows(m.entries, 4, m.entries[sigma.index(0)], sigma)
                 if _is_upper_triangular_rows(rows, 4):
+                    # a triangular input is read as is, lex-min form or not
+                    assert classify_eichler(LevelMatrix(rows)) == classify_eichler(m)
                     shape = _staircase_shape(rows, 4)
                     if shape is not None:
                         shapes.add(shape.canonical())
             if shapes:
                 assert len(shapes) == 1
+
+    def test_triangular_non_order_is_refused(self):
+        # upper triangular, so read without a search, but still checked first
+        with pytest.raises(NotAnOrderError):
+            classify_eichler(M([[0, 0, 0], [2, 0, 0], [0, 1, 0]]))
 
 
 class TestHereditaryAndBass:
@@ -280,6 +287,9 @@ def test_triangular_verdicts_match_permutation_sweep(name):
         for level in {m, disguised}:
             assert classify_eichler(level) == shape, level
             assert triangular_form(level) == form, level
+            report = classify(level)
+            assert report.triangular == form, level
+            assert report.eichler == shape, level
 
 
 @pytest.mark.parametrize("n", range(1, 7))

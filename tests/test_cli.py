@@ -169,6 +169,12 @@ class TestProjective:
         path = write_level(tmp_path, "h.lvl", "2\n0 0\n1 0\n")
         assert main(["projective", path, "--type", "0,1,2"]) == EXIT_INPUT
         assert main(["projective", path, "--type", "zero,one"]) == EXIT_INPUT
+        capsys.readouterr()
+        # int() would read "1_0" as 10; a level file refuses it, and so does --type
+        assert main(["projective", path, "--type", "0,1_0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: type vector must be integers, got '0,1_0'\n"
 
 
 class TestLongEntries:
@@ -206,6 +212,61 @@ class TestLongEntries:
         assert main(["classify", path, "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["canonical"] == [[0, 0], [2 * int(n9), 0]]
+
+
+class TestInterpreterDigitLimit:
+    # under an interpreter digit limit L below 4,300, integers of more than
+    # L - 1 digits are refused, and a size of more than L digits is refused
+    # without being printed
+    @pytest.mark.parametrize(
+        "limit,argv,message",
+        [
+            ("700", ["check", "LONG_TEXT"], "line 2, column 3: integer has too many digits"),
+            ("700", ["check", "LONG_JSON"], "invalid JSON: integer has too many digits"),
+            ("640", ["census", "40", "--bound", "9"],
+             "census raw space of more than 640 digits exceeds the budget 10000000"),
+            # no limit (0) or a higher one: L stays 4,300
+            ("0", ["census", "200", "--bound", "1"],
+             "census raw space of more than 4300 digits exceeds the budget 10000000"),
+            ("10000", ["census", "200", "--bound", "1"],
+             "census raw space of more than 4300 digits exceeds the budget 10000000"),
+        ],
+    )
+    def test_refused_with_exit_two(self, limit, argv, message, tmp_path):
+        digits = "9" * 1000
+        files = {
+            "LONG_TEXT": write_level(tmp_path, "long.lvl", f"2\n0 {digits}\n0 0\n"),
+            "LONG_JSON": write_level(tmp_path, "long.json", f'{{"n": 2, "m": [[0, {digits}], [0, 0]]}}'),
+        }
+        done = self.run_cli(limit, [files.get(arg, arg) for arg in argv])
+        assert done.returncode == EXIT_INPUT
+        assert done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
+
+    def test_one_digit_fewer_is_classified(self, tmp_path):
+        # L - 1 = 699 nines: the canonical entry 2 * n9 has 700 digits and still prints
+        n9 = "9" * 699
+        path = write_level(tmp_path, "edge.lvl", f"2\n0 {n9}\n{n9} 0\n")
+        done = self.run_cli("700", ["classify", path, "--format", "json"])
+        assert done.returncode == EXIT_OK
+        assert json.loads(done.stdout)["canonical"] == [[0, 0], [2 * int(n9), 0]]
+        longer = write_level(tmp_path, "long.lvl", f"2\n0 9{n9}\n{n9} 0\n")
+        done = self.run_cli("700", ["classify", longer, "--format", "json"])
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr == "error: line 2, column 3: integer has too many digits\n"
+
+    @staticmethod
+    def run_cli(limit, argv):
+        src = str(Path(monorders.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)
+        env.pop(cli.BUDGET_ENV, None)
+        return subprocess.run(
+            [sys.executable, "-m", "monorders.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
 
 
 class TestOverorders:
