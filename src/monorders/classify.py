@@ -18,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInputError, NotPositiveTypeError, NotTriangularError
+from .errors import InvalidInputError, NotAnOrderError, NotPositiveTypeError, NotTriangularError
 from .duality import _gorenstein_scan
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
-    WeylElement,
     _is_upper_triangular_rows,
     _require_order,
     canonical_form,
     is_upper_triangular,
-    order_violation,
 )
 
 BASS_HEREDITARY = "hereditary"
@@ -186,16 +184,17 @@ def truncate(m: LevelMatrix) -> LevelMatrix:
 class ClassificationReport:
     """All verdicts and witnesses for one level.
 
-    For non-orders only ``is_order`` and ``order_violation`` are populated.
-    The verdict chain hereditary => bass => gorenstein always holds, and an
-    Eichler shape is present only for Gorenstein orders.  ``triangular``, the
+    For non-orders only ``is_order`` and ``order_violation`` are populated;
+    ``classify`` reads the witness off the ``NotAnOrderError`` that
+    ``canonical_form`` raises before it checks its cap.  The verdict chain
+    hereditary => bass => gorenstein always holds, and an Eichler shape is
+    present only for Gorenstein orders.  ``triangular``, the
     ``triangular_form`` that the shape is read from, is left out of ``to_dict``.
     """
 
     is_order: bool
     order_violation: object = None
     canonical: Optional[LevelMatrix] = None
-    canonical_witness: Optional[WeylElement] = None
     is_gorenstein: Optional[bool] = None
     gorenstein_witnesses: Optional[tuple[tuple[int, int], ...]] = None
     gorenstein_failing_row: Optional[int] = None
@@ -237,10 +236,10 @@ class ClassificationReport:
 
 def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> ClassificationReport:
     """Full classification of a level; total (non-orders get a stub report)."""
-    violation = order_violation(m)
-    if violation is not None:
-        return ClassificationReport(is_order=False, order_violation=violation)
-    canonical, witness = canonical_form(m, search_cap)
+    try:
+        canonical, _ = canonical_form(m, search_cap)
+    except NotAnOrderError as exc:
+        return ClassificationReport(is_order=False, order_violation=exc.witness)
     gw, failing = _gorenstein_scan(m)
     triangular = triangular_form(m)
     shape = None if triangular is None else classify_eichler(triangular)
@@ -248,7 +247,6 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
     return ClassificationReport(
         is_order=True,
         canonical=canonical,
-        canonical_witness=witness,
         is_gorenstein=gw is not None,
         gorenstein_witnesses=gw,
         gorenstein_failing_row=failing,

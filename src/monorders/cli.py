@@ -14,13 +14,16 @@ import json
 import os
 import sys
 
-from .errors import MonordersError, NotAnOrderError
+from .errors import MonordersError, NotALatticeError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
-from .duality import dual_level, lattice_violation, projective_witness
+from .duality import dual_level, projective_witness
 from .families import load_families
 from .levelio import _is_int, _parse_int, load_level
-from .levels import DEFAULT_SEARCH_CAP, _check_search_cap, normalize_positive, order_violation
+from .levels import (
+    DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
+    normalize_positive, order_violation,
+)
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
 EXIT_OK = 0
@@ -60,13 +63,6 @@ def format_level_compact(m) -> str:
 
 def format_level_block(m, indent="  ") -> str:
     return indent + str(m).replace("\n", "\n" + indent)
-
-
-def _violation_text(witness) -> str:
-    if isinstance(witness, tuple):
-        i, j, k = witness
-        return f"m[{i},{k}] > m[{i},{j}] + m[{j},{k}] at (i,j,k)=({i},{j},{k})"
-    return f"diagonal entry m[{witness},{witness}] is nonzero"
 
 
 def _yesno(flag) -> str:
@@ -254,7 +250,7 @@ def _print_report_text(level, report, oracle):
 
 def cmd_dual(args) -> int:
     level = load_level(args.file)
-    _require_order_input(level)
+    _require_order(level)
     dual = dual_level(level)
     if args.format == "json":
         payload = {"raw": dual.raw.to_lists(), "normalized": dual.normalized.to_lists()}
@@ -279,27 +275,27 @@ def _parse_type_vector(raw, n):
 
 def cmd_projective(args) -> int:
     level = load_level(args.file)
-    _require_order_input(level)
+    _require_order(level)
     lattice_type = _parse_type_vector(args.type_vector, level.n)
     form = normalize_positive(level)
     normalized = form.level
     adjusted = tuple(
         lattice_type[i] + form.applied.shifts[i] for i in range(level.n)
     )
-    violation = lattice_violation(normalized, adjusted)
-    if violation is not None:
+    try:
+        witness = projective_witness(normalized, adjusted)
+    except NotALatticeError as exc:
         if args.format == "json":
             print(json.dumps({
                 "is_lattice": False,
                 "is_projective": False,
-                "lattice_violation": list(violation),
+                "lattice_violation": list(exc.witness),
             }))
         else:
-            i, j = violation
+            i, j = exc.witness
             print("lattice: no")
             print(f"violation: m[{i},{j}] + l[{j}] < l[{i}]")
         return EXIT_NEGATIVE
-    witness = projective_witness(normalized, adjusted)
     if args.format == "json":
         payload = {
             "is_lattice": True,
@@ -321,7 +317,7 @@ def cmd_projective(args) -> int:
 
 def cmd_overorders(args) -> int:
     level = load_level(args.file)
-    _require_order_input(level)
+    _require_order(level)
     result = overorders(level, _budget(args.budget))
     if args.format == "json":
         payload = {"count": len(result), "bound": overorder_bound(level)}
@@ -396,14 +392,6 @@ def _family_match(cls):
         if params is not None:
             return {"index": family.index, "params": params}
     return None
-
-
-def _require_order_input(level):
-    witness = order_violation(level)
-    if witness is not None:
-        raise NotAnOrderError(
-            f"input level is not an order ({_violation_text(witness)})", witness
-        )
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,10 @@ class DimensionMismatch(MonordersError):
 
 
 class NotAnOrderError(MonordersError):
-    """A level matrix violates the order condition where an order is required."""
+    """A level matrix violates the order condition where an order is required.
+
+    The message reads ``input level is not an order (...)``; ``witness`` is ``order_violation(m)``.
+    """
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -6,6 +6,8 @@ that entry.  The resulting additive module is a ring, and hence an order,
 exactly when the diagonal exponents vanish and the triangle condition
 m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
+Every function that needs an order raises ``NotAnOrderError`` through
+``_require_order``, worded as the command line prints it.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -234,10 +236,17 @@ def _orders_in_box(lo, hi):
             stack.pop()
 
 
+def _violation_text(witness) -> str:
+    if isinstance(witness, tuple):
+        i, j, k = witness
+        return f"m[{i},{k}] > m[{i},{j}] + m[{j},{k}] at (i,j,k)=({i},{j},{k})"
+    return f"diagonal entry m[{witness},{witness}] is nonzero"
+
+
 def _require_order(m):
     witness = order_violation(m)
     if witness is not None:
-        raise NotAnOrderError(f"level is not an order (violation at {witness})", witness)
+        raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
 
 
 def _conjugate_rows(rows, n, shifts, perm):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -95,6 +96,24 @@ def test_one_triangular_search_per_class(monkeypatch):
     result = census(CensusQuery(4, 2))
     assert result.totals["classes"] > 0
     assert len(calls) == result.totals["classes"]
+
+
+def test_order_scans_per_class(monkeypatch):
+    # classify scans in canonical_form and triangular_form, and classify_eichler
+    # scans the triangular form again when there is one
+    original = importlib.import_module("monorders.levels").order_violation
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "monorders" and getattr(module, "order_violation", None) is original:
+            monkeypatch.setattr(module, "order_violation", counting)
+    totals = census(CensusQuery(4, 2)).totals
+    assert (totals["classes"], totals["upper_triangular"]) == (98, 60)
+    assert len(calls) == 2 * 98 + 60
 
 
 class TestCensus:

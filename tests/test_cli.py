@@ -17,6 +17,8 @@ from conftest import random_order
 
 SEC52_TEXT = "4\n0 0 0 0\n1 0 1 0\n1 1 0 0\n2 1 1 0\n"
 NON_ORDER_TEXT = "3\n0 0 0\n0 0 0\n1 0 0\n"
+DIAGONAL_TEXT = "2\n1 0\n0 0\n"
+NON_ORDER_ERR = "error: input level is not an order (m[3,1] > m[3,2] + m[2,1] at (i,j,k)=(3,2,1))\n"
 
 
 @pytest.fixture
@@ -154,7 +156,12 @@ class TestProjective:
     def test_non_lattice(self, tmp_path, capsys):
         path = write_level(tmp_path, "zero.lvl", "2\n0 0\n0 0\n")
         assert main(["projective", path, "--type", "0,1"]) == EXIT_NEGATIVE
-        assert "lattice: no" in capsys.readouterr().out
+        assert capsys.readouterr() == ("lattice: no\nviolation: m[2,1] + l[1] < l[2]\n", "")
+        assert main(["projective", path, "--type", "0,1", "--format", "json"]) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (
+            '{"is_lattice": false, "is_projective": false, "lattice_violation": [2, 1]}\n',
+            "",
+        )
 
     def test_normalizes_input_and_type_together(self, tmp_path, capsys):
         # conjugate of the hereditary order; the type moves with the shifts
@@ -175,6 +182,34 @@ class TestProjective:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: type vector must be integers, got '0,1_0'\n"
+
+
+class TestNonOrderRefusal:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            (NON_ORDER_TEXT, NON_ORDER_ERR),
+            (DIAGONAL_TEXT, "error: input level is not an order (diagonal entry m[1,1] is nonzero)\n"),
+        ],
+        ids=["triangle", "diagonal"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["dual"], ["projective", "--type", "0,0,0"], ["overorders"]], ids=lambda c: c[0]
+    )
+    def test_exact_message(self, command, text, err, fmt, tmp_path, capsys):
+        path = write_level(tmp_path, "bad.lvl", text)
+        assert main([command[0], path, *command[1:], "--format", fmt]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", err)
+
+    def test_comes_before_the_type_vector(self, non_order_file, capsys):
+        assert main(["projective", non_order_file, "--type", "zero,one"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", NON_ORDER_ERR)
+
+    def test_comes_before_the_budget_env(self, non_order_file, capsys, monkeypatch):
+        monkeypatch.setenv(cli.BUDGET_ENV, "lots")
+        assert main(["overorders", non_order_file]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", NON_ORDER_ERR)
 
 
 class TestLongEntries:

@@ -9,14 +9,19 @@ from monorders import (
     NotAnOrderError,
     SearchTooLargeError,
     WeylElement,
+    bass_oracle,
     canonical_form,
+    classify_eichler,
     compose,
     conjugate,
     inverse,
+    is_gorenstein,
     is_order,
     is_upper_triangular,
     normalize_positive,
     order_violation,
+    overorders,
+    triangular_form,
 )
 
 from conftest import brute_canonical_form, enumerate_orders, random_order, random_weyl
@@ -68,6 +73,30 @@ class TestIsOrder:
 
     def test_negative_entries_allowed(self):
         assert is_order(M([[0, 1], [-1, 0]]))
+
+
+NON_ORDERS = {
+    "triangle": (
+        M([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+        "input level is not an order (m[3,1] > m[3,2] + m[2,1] at (i,j,k)=(3,2,1))",
+    ),
+    "diagonal": (M([[1, 0], [0, 0]]), "input level is not an order (diagonal entry m[1,1] is nonzero)"),
+}
+
+
+@pytest.mark.parametrize(
+    "func",
+    [canonical_form, triangular_form, classify_eichler, is_gorenstein, overorders, bass_oracle, normalize_positive],
+    ids=lambda func: func.__name__,
+)
+@pytest.mark.parametrize("name", sorted(NON_ORDERS))
+def test_one_non_order_refusal(name, func):
+    # the command line prints the same message after "error: "
+    m, message = NON_ORDERS[name]
+    with pytest.raises(NotAnOrderError) as info:
+        func(m)
+    assert str(info.value) == message
+    assert info.value.witness == order_violation(m)
 
 
 class TestWeylElement:
