@@ -151,6 +151,6 @@ def match_family(level: LevelMatrix, family: Family):
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if is_order(instance) and canonical_form(instance)[0] == target:
+        if canonical_form(instance)[0] == target:
             return params
     return None

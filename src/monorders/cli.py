@@ -275,9 +275,8 @@ def _parse_type_vector(raw, n):
 
 def cmd_projective(args) -> int:
     level = load_level(args.file)
-    _require_order(level)
-    lattice_type = _parse_type_vector(args.type_vector, level.n)
     form = normalize_positive(level)
+    lattice_type = _parse_type_vector(args.type_vector, level.n)
     normalized = form.level
     adjusted = tuple(
         lattice_type[i] + form.applied.shifts[i] for i in range(level.n)

@@ -27,6 +27,10 @@ from .levels import LevelMatrix, _require_order, normalize_positive
 def lattice_violation(m: LevelMatrix, l: Sequence[int]):
     """First 1-based pair (i, j) with m[i][j] + l[j] < l[i], or None."""
     _require_order(m)
+    return _lattice_violation(m, l)
+
+
+def _lattice_violation(m, l):
     n = m.n
     if len(l) != n:
         raise DimensionMismatch(f"type has length {len(l)} but level has size {n}")
@@ -57,7 +61,7 @@ def projective_witness(m: LevelMatrix, l: Sequence[int]):
     n = m.n
     if any(m.entries[0][j] != 0 for j in range(n)):
         raise NotNormalizedError("projectivity test requires a zero first row")
-    witness = lattice_violation(m, l)
+    witness = _lattice_violation(m, l)
     if witness is not None:
         raise NotALatticeError(f"type is not a lattice (violation at {witness})", witness)
     rows = m.entries

@@ -6,8 +6,9 @@ that entry.  The resulting additive module is a ring, and hence an order,
 exactly when the diagonal exponents vanish and the triangle condition
 m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
-Every function that needs an order raises ``NotAnOrderError`` through
-``_require_order``, worded as the command line prints it.
+An order is checked where it enters: a public function that needs one raises
+``NotAnOrderError`` through ``_require_order``, worded as the command line
+prints it, and a value built from an order is not checked again.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -63,7 +64,7 @@ class LevelMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LevelMatrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def zero(cls, n: int) -> "LevelMatrix":

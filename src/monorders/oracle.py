@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import BudgetExceededError
-from .duality import is_gorenstein
+from .duality import _gorenstein_scan, is_gorenstein
 from .levelio import _digit_limit
 from .levels import LevelMatrix, _orders_in_box, _require_order
 
@@ -101,8 +101,9 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     if not is_gorenstein(m):
         return False, m
     total = sum(map(sum, m.entries))
-    # a stable sort: members come sorted by entries, which breaks the ties
+    # a stable sort: members come sorted by entries, which breaks the ties;
+    # the box search builds only orders, so members skip the order check
     for member in sorted(overorders(m, budget), key=lambda level: total - sum(map(sum, level.entries))):
-        if not is_gorenstein(member):
+        if _gorenstein_scan(member)[0] is None:
             return False, member
     return True, None

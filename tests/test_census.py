@@ -10,14 +10,18 @@ from monorders import (
     CensusQuery,
     InvalidInputError,
     LevelMatrix,
+    bass_oracle,
     census,
     conjugate,
+    gorenstein_via_dual,
     is_order,
     is_upper_triangular,
     load_families,
     match_family,
 )
 from monorders.census import _census_box
+from monorders.cli import main
+from monorders.levelio import level_to_text
 from monorders.levels import _orders_in_box
 
 from conftest import (
@@ -98,9 +102,35 @@ def test_one_triangular_search_per_class(monkeypatch):
     assert len(calls) == result.totals["classes"]
 
 
-def test_order_scans_per_class(monkeypatch):
-    # classify scans in canonical_form and triangular_form, and classify_eichler
-    # scans the triangular form again when there is one
+STAIRCASES = {n: tuple(tuple(int(j < i) for j in range(n)) for i in range(n)) for n in (3, 4)}
+SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52": SEC52_ROWS}
+
+# each query, as the arguments of cli.main (a SCAN_LEVELS name stands for its
+# file) or as a library function and a SCAN_LEVELS name, with its order scans:
+# classify scans in canonical_form and triangular_form, and classify_eichler
+# scans the triangular form again when there is one (census 4 --bound 2 has
+# 98 classes, 60 of them triangular: 2 * 98 + 60); values built from an
+# order (overorders, normalizations, family instances) are not checked again
+ORDER_SCANS = {
+    "check": (("check", "staircase3"), 1),
+    "classify": (("classify", "staircase3"), 3),
+    "dual": (("dual", "staircase3"), 1),
+    "overorders": (("overorders", "staircase3"), 2),
+    "census-4-2": (("census", "4", "--bound", "2"), 256),
+    "classify-oracle-staircase3": (("classify", "staircase3", "--oracle"), 7),
+    "classify-oracle-staircase4": (("classify", "staircase4", "--oracle"), 7),
+    "classify-oracle-sec52": (("classify", "sec52", "--oracle"), 6),
+    "projective": (("projective", "staircase3", "--type", "0,1,1"), 2),
+    "census-4-3-families": (("census", "4", "--bound", "3", "--families"), 1957),
+    "bass_oracle-staircase4": ((bass_oracle, "staircase4"), 3),
+    "gorenstein_via_dual-sec52": ((gorenstein_via_dual, "sec52"), 5),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_SCANS)
+def test_order_scans_per_query(name, monkeypatch, tmp_path, capsys):
+    # a scan is one order_violation call, in every monorders namespace that binds it
+    query, scans = ORDER_SCANS[name]
     original = importlib.import_module("monorders.levels").order_violation
     calls = []
 
@@ -108,12 +138,18 @@ def test_order_scans_per_class(monkeypatch):
         calls.append(m)
         return original(m)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "monorders" and getattr(module, "order_violation", None) is original:
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "monorders" and getattr(module, "order_violation", None) is original:
             monkeypatch.setattr(module, "order_violation", counting)
-    totals = census(CensusQuery(4, 2)).totals
-    assert (totals["classes"], totals["upper_triangular"]) == (98, 60)
-    assert len(calls) == 2 * 98 + 60
+    head, *args = query
+    if callable(head):
+        head(LevelMatrix(SCAN_LEVELS[args[0]]))
+    else:
+        for level in set(query) & set(SCAN_LEVELS):
+            (tmp_path / level).write_text(level_to_text(LevelMatrix(SCAN_LEVELS[level])))
+        main([str(tmp_path / arg) if arg in SCAN_LEVELS else arg for arg in query])
+    capsys.readouterr()
+    assert len(calls) == scans
 
 
 class TestCensus:
@@ -230,6 +266,18 @@ class TestFamilies:
             families[5].instantiate(a=1)  # missing b
         with pytest.raises(InvalidInputError):
             families[1].instantiate(a=0)  # not positive
+
+    def test_table_instances_are_orders(self):
+        # these three checks make every instance (a, b >= 0) an order, so
+        # neither load_families nor match_family checks the table at run time
+        coeffs = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
+        for family in load_families():
+            pattern = family.pattern
+            assert {expr for row in pattern for expr in row} <= set(coeffs)
+            assert all(pattern[i][i] == "0" for i in range(family.n))
+            for i, j, k in itertools.product(range(family.n), repeat=3):
+                ik, ij, jk = coeffs[pattern[i][k]], coeffs[pattern[i][j]], coeffs[pattern[j][k]]
+                assert all(x <= y + z for x, y, z in zip(ik, ij, jk)), (family.index, i, j, k)
 
     def test_instances_are_gorenstein_orders(self):
         # the CLI matches families only against Gorenstein classes

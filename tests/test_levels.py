@@ -46,6 +46,16 @@ class TestLevelMatrix:
         with pytest.raises(TypeError):
             LevelMatrix(((0.5,),))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 2.7], [0, 0]], [[0, 0.5], [-0.5, 0]], [[0, "2"], [0, 0]], [[0, True], [0, 0]]],
+        ids=["float", "float-pair", "string", "bool"],
+    )
+    def test_from_rows_rejects_non_integers(self, rows):
+        # from_rows converts nothing: the constructor's check is the only entry check
+        with pytest.raises(TypeError, match=f"^level entries must be integers, got {rows[0][1]!r}$"):
+            M(rows)
+
     def test_row_column_one_based(self):
         m = M([[0, 1], [2, 0]])
         assert m.row(1) == (0, 1)
