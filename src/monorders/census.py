@@ -19,17 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotAnOrderError
 from .classify import ClassificationReport, classify
-from .families import Family
+from .families import load_families
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
+    _canonical_sigma,
     _check_search_cap,
+    _conjugate_rows,
     _conjugates,
+    _is_plain_int,
     _orders_in_box,
     canonical_form,
-    is_order,
 )
 from .oracle import DEFAULT_BUDGET, _check_budget
 
@@ -50,9 +52,9 @@ class CensusQuery:
     filters: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _is_plain_int(self.n) or self.n < 1:
             raise InvalidInputError("census size must be positive")
-        if self.bound < 0:
+        if not _is_plain_int(self.bound) or self.bound < 0:
             raise InvalidInputError("census bound must be nonnegative")
         unknown = set(self.filters) - set(FILTERS)
         if unknown:
@@ -125,32 +127,36 @@ def census(
     return CensusResult(query, selected, totals)
 
 
-def match_family(level: LevelMatrix, family: Family):
-    """Parameter assignment making the family conjugate to ``level``.
+def match_family(level: LevelMatrix):
+    """First family of the table with an instance conjugate to ``level``.
 
-    Returns a dict with the family's parameters ({} for the parameterless
-    family) or None when no assignment works.  Total: size mismatches and
-    non-orders yield None.  An instance matches when its canonical form is
-    that of ``level``.  The search is finite because the maximal
-    off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant and
-    every family pattern realizes it as a, or as a + b.
+    Returns (family, params), params a dict of the family's parameters ({}
+    for the parameterless family), or None.  Total: size mismatches and
+    non-orders yield None.  The level's canonical form is found once and
+    compared with that of each candidate instance, which is not checked: the
+    table makes every instance an order.  The search is finite because the
+    maximal off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant
+    and every family pattern realizes it as a, or as a + b.
     """
-    if level.n != family.n or not is_order(level):
+    families = [family for family in load_families() if family.n == level.n]
+    if not families:
         return None
-    target = canonical_form(level)[0]
-    rows = level.entries
-    n = level.n
-    pair_max = max(
-        (rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0
-    )
-    if not family.params:
-        assignments = [{}]
-    elif family.params == ("a",):
-        assignments = [{"a": pair_max}] if pair_max >= 1 else []
-    else:
-        assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
-    for params in assignments:
-        instance = family.instantiate(**params)
-        if canonical_form(instance)[0] == target:
-            return params
+    try:
+        target = canonical_form(level)[0].entries
+    except NotAnOrderError:
+        return None
+    rows, n = level.entries, level.n
+    pair_max = max((rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0)
+    for family in families:
+        if not family.params:
+            assignments = [{}]
+        elif family.params == ("a",):
+            assignments = [{"a": pair_max}] if pair_max >= 1 else []
+        else:
+            assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
+        for params in assignments:
+            instance = family.instantiate(**params).entries
+            sigma = _canonical_sigma(instance, n)
+            if _conjugate_rows(instance, n, instance[sigma.index(0)], sigma) == target:
+                return family, params
     return None

@@ -23,6 +23,7 @@ from .duality import _gorenstein_scan
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
+    _is_plain_int,
     _is_upper_triangular_rows,
     _require_order,
     canonical_form,
@@ -49,14 +50,14 @@ class EichlerShape:
     a: Optional[int]
 
     def __post_init__(self):
-        if self.period != len(self.invariant):
+        if not _is_plain_int(self.period) or self.period != len(self.invariant):
             raise InvalidInputError("period must equal the number of blocks")
-        if any(k < 1 for k in self.invariant):
-            raise InvalidInputError("block sizes must be positive")
+        if not all(_is_plain_int(k) and k >= 1 for k in self.invariant):
+            raise InvalidInputError("block sizes must be positive integers")
         if self.period == 1:
             if self.a is not None:
                 raise InvalidInputError("period-one shapes carry no a")
-        elif self.a is None or self.a < 1:
+        elif not _is_plain_int(self.a) or self.a < 1:
             raise InvalidInputError("a must be a positive integer when the period exceeds one")
 
     @property

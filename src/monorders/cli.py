@@ -18,7 +18,6 @@ from .errors import MonordersError, NotALatticeError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
 from .duality import dual_level, projective_witness
-from .families import load_families
 from .levelio import _is_int, _parse_int, load_level
 from .levels import (
     DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
@@ -386,11 +385,8 @@ def cmd_census(args) -> int:
 
 def _family_match(cls):
     # every family is Gorenstein, so no other class can match
-    for family in load_families() if cls.report.is_gorenstein else ():
-        params = match_family(cls.canonical, family)
-        if params is not None:
-            return {"index": family.index, "params": params}
-    return None
+    match = match_family(cls.canonical) if cls.report.is_gorenstein else None
+    return None if match is None else {"index": match[0].index, "params": match[1]}
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from functools import cache
 from importlib.resources import files
 
 from .errors import InvalidInputError
-from .levels import LevelMatrix
+from .levels import LevelMatrix, _is_plain_int
 
 _ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
 
@@ -32,17 +32,12 @@ class Family:
 
     def instantiate(self, a: int | None = None, b: int | None = None) -> LevelMatrix:
         """Level obtained by substituting the given parameter values."""
-        given = {"a": a, "b": b}
-        for name in self.params:
-            value = given[name]
-            if value is None or value < 1:
+        for name, value in (("a", a), ("b", b)):
+            if name in self.params and not (_is_plain_int(value) and value >= 1):
                 raise InvalidInputError(f"family {self.index} needs a positive integer {name}")
-        for name, value in given.items():
-            if value is not None and name not in self.params:
+            if name not in self.params and value is not None:
                 raise InvalidInputError(f"family {self.index} takes no parameter {name}")
-        av = a or 0
-        bv = b or 0
-        values = {expr: ca * av + cb * bv for expr, (ca, cb) in _ENTRY_COEFFS.items()}
+        values = {expr: ca * (a or 0) + cb * (b or 0) for expr, (ca, cb) in _ENTRY_COEFFS.items()}
         return LevelMatrix(tuple(tuple(values[expr] for expr in row) for row in self.pattern))
 
 

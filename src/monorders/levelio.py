@@ -13,7 +13,7 @@ import re
 import sys
 
 from .errors import ParseError
-from .levels import LevelMatrix
+from .levels import LevelMatrix, _is_plain_int
 
 _TOKEN = re.compile(r"\S+")
 _TOO_LONG = "integer has too many digits"
@@ -73,7 +73,7 @@ def parse_level_json(text: str) -> LevelMatrix:
     if not isinstance(data, dict) or "n" not in data or "m" not in data:
         raise ParseError('JSON level must be an object with keys "n" and "m"')
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_plain_int(n) or n < 1:
         raise ParseError('"n" must be a positive integer')
     if (
         not isinstance(m, list)
@@ -83,7 +83,7 @@ def parse_level_json(text: str) -> LevelMatrix:
         raise ParseError(f'"m" must be a {n}x{n} array of integers')
     for row in m:
         for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not _is_plain_int(e):
                 raise ParseError(f"matrix entries must be integers, got {e!r}")
     return LevelMatrix.from_rows(m)
 

@@ -40,6 +40,10 @@ from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, Searc
 DEFAULT_SEARCH_CAP = 8
 
 
+def _is_plain_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LevelMatrix:
     """Square integer matrix of valuation exponents.
@@ -59,7 +63,7 @@ class LevelMatrix:
             if not isinstance(row, tuple) or len(row) != n:
                 raise InvalidInputError("level matrix entries must form a square tuple of tuples")
             for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
+                if not _is_plain_int(e):
                     raise TypeError(f"level entries must be integers, got {e!r}")
 
     @classmethod
@@ -106,10 +110,10 @@ class WeylElement:
         n = len(self.shifts)
         if len(self.perm) != n:
             raise InvalidInputError("shifts and perm must have the same length")
-        if sorted(self.perm) != list(range(n)):
+        if not all(map(_is_plain_int, self.perm)) or sorted(self.perm) != list(range(n)):
             raise InvalidInputError(f"perm must be a permutation of range({n})")
         for s in self.shifts:
-            if not isinstance(s, int) or isinstance(s, bool):
+            if not _is_plain_int(s):
                 raise TypeError("shifts must be integers")
 
     @classmethod

@@ -65,9 +65,7 @@ def overorder_bound(m: LevelMatrix) -> int:
     return prod(_pair_ranges(m))
 
 
-def _check_overorder_search(m, budget):
-    # the refusals of overorders and bass_oracle, in this order
-    _require_order(m)
+def _check_overorder_budget(m, budget):
     _check_budget("overorder search size", ((r, 1) for r in _pair_ranges(m)), budget)
 
 
@@ -79,7 +77,8 @@ def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
     the census.  Raises NotAnOrderError when m is not an order, then
     BudgetExceededError when the pair-range product exceeds ``budget``.
     """
-    _check_overorder_search(m, budget)
+    _require_order(m)
+    _check_overorder_budget(m, budget)
     rows = m.entries
     lo = tuple(tuple(-row[i] for row in rows) for i in range(m.n))
     found = sorted(_orders_in_box(lo, rows))
@@ -95,10 +94,11 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     a minimal perturbation of the input.  Candidates are tested in that
     order, the base first (the only one at distance 0, so a non-Gorenstein
     base needs no enumeration), up to the first failure.  Refuses as
-    ``overorders`` does.
+    ``overorders`` does: the order check of ``is_gorenstein``, then the budget.
     """
-    _check_overorder_search(m, budget)
-    if not is_gorenstein(m):
+    gorenstein = is_gorenstein(m)
+    _check_overorder_budget(m, budget)
+    if not gorenstein:
         return False, m
     total = sum(map(sum, m.entries))
     # a stable sort: members come sorted by entries, which breaks the ties;

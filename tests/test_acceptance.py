@@ -29,6 +29,7 @@ from monorders import (
     truncate,
 )
 from conftest import (
+    brute_match_family,
     enumerate_orders,
     enumerate_triangular_orders,
     random_order,
@@ -81,11 +82,12 @@ def test_criterion_1_family_table_reproduction():
         # every class matches exactly one family, with in-bound parameters
         for level in classes:
             matches = [
-                (family.index, match_family(level, family))
+                (family, params)
                 for family in families
-                if match_family(level, family) is not None
+                if (params := brute_match_family(level, family)) is not None
             ]
             assert len(matches) == 1
+            assert match_family(level) == matches[0]
             _, params = matches[0]
             assert all(value in (1, 2) for value in params.values())
             if len(params) == 2:

@@ -445,7 +445,7 @@ class TestCensus:
 
             monkeypatch.setattr(module, "_conjugates", counting)
         matched = []
-        monkeypatch.setattr(cli, "match_family", lambda level, family: matched.append(level))
+        monkeypatch.setattr(cli, "match_family", lambda level: matched.append(level))
         main(["census", "4", "--bound", "2", "--format", "json"])
         census_scans = len(calls)
         capsys.readouterr()
@@ -453,9 +453,9 @@ class TestCensus:
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert census_scans > 0
         assert len(calls) == 2 * census_scans
-        # only the Gorenstein classes are matched, each against all seven families
+        # only the Gorenstein classes are matched, each once
         gorenstein = [LevelMatrix.from_rows(c["canonical"]) for c in lines if c.get("report", {}).get("is_gorenstein")]
-        assert gorenstein and matched == [level for level in gorenstein for _ in range(7)]
+        assert gorenstein and matched == gorenstein
 
     @pytest.mark.parametrize("argv", [["census", "0"], ["census", "3", "--bound", "-1"]])
     def test_bad_parameters_exit_two(self, argv, capsys):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from monorders import (
+    CensusQuery,
     DimensionMismatch,
+    EichlerShape,
     InvalidInputError,
     LevelMatrix,
     NotAnOrderError,
@@ -126,6 +128,29 @@ class TestWeylElement:
         w = compose(w2, w1)
         assert compose(inverse(w), w) == WeylElement.identity(3)
         assert compose(w, inverse(w)) == WeylElement.identity(3)
+
+
+# a float or a bool where an int belongs, with the refusal each value type gives
+NOT_PLAIN_INTS = {
+    "weyl-float-perm": (lambda: WeylElement((0, 0), (1.0, 0.0)), r"perm must be a permutation of range\(2\)"),
+    "weyl-bool-perm": (lambda: WeylElement((0, 0), (True, False)), r"perm must be a permutation of range\(2\)"),
+    "census-float-bound": (lambda: CensusQuery(2, 1.5), "census bound must be nonnegative"),
+    "census-bool-bound": (lambda: CensusQuery(2, True), "census bound must be nonnegative"),
+    "census-bool-size": (lambda: CensusQuery(True, 1), "census size must be positive"),
+    "census-float-size": (lambda: CensusQuery(2.0, 1), "census size must be positive"),
+    "eichler-bool-a": (lambda: EichlerShape(2, (1, 1), True), "a must be a positive integer"),
+    "eichler-float-a": (lambda: EichlerShape(2, (1, 1), 1.0), "a must be a positive integer"),
+    "eichler-float-blocks": (lambda: EichlerShape(2, (1.5, 0.5), 1), "block sizes must be positive integers"),
+    "eichler-bool-blocks": (lambda: EichlerShape(1, (True,), None), "block sizes must be positive integers"),
+    "eichler-bool-period": (lambda: EichlerShape(True, (2,), None), "period must equal the number of blocks"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLAIN_INTS))
+def test_value_types_refuse_non_plain_ints(name):
+    build, message = NOT_PLAIN_INTS[name]
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 class TestConjugate:
