@@ -56,6 +56,8 @@ class CensusQuery:
             raise InvalidInputError("census size must be positive")
         if not _is_plain_int(self.bound) or self.bound < 0:
             raise InvalidInputError("census bound must be nonnegative")
+        if isinstance(self.filters, str):
+            raise InvalidInputError(f"filters must be a collection of filter names, got {self.filters!r}")
         unknown = set(self.filters) - set(FILTERS)
         if unknown:
             raise InvalidInputError(f"unknown filters: {sorted(unknown)}")

@@ -17,7 +17,7 @@ import sys
 from .errors import MonordersError, NotALatticeError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
-from .duality import dual_level, projective_witness
+from .duality import _projective_witness, dual_level
 from .levelio import _is_int, _parse_int, load_level
 from .levels import (
     DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
@@ -281,7 +281,7 @@ def cmd_projective(args) -> int:
         lattice_type[i] + form.applied.shifts[i] for i in range(level.n)
     )
     try:
-        witness = projective_witness(normalized, adjusted)
+        witness = _projective_witness(normalized, adjusted)
     except NotALatticeError as exc:
         if args.format == "json":
             print(json.dumps({

@@ -4,15 +4,16 @@ A column lattice in the n-dimensional column space is described by its type,
 a plain tuple of n integer exponents.  Over an order of level m, a type l is
 a lattice iff m[i][j] + l[j] >= l[i] for all i, j, and a lattice is
 projective iff it is, up to a global shift c, a column of m (the witness is
-the pair (j, c)).
+the pair (j, c)).  Both tests work on any order: conjugating m by shifts s
+and moving l to l + s turns a witness (j, c) into (j, c + s_j).
 
 The dual of an order of level m is the module of level -transpose(m); it is
 generally not an order itself.  An order is Gorenstein exactly when its dual
 is projective as a one-sided module, which unwinds to a purely combinatorial
 criterion: for every row i there are c and a column j with
 m[i][k] + m[k][j] = c for all k.  ``gorenstein_via_dual`` re-derives the
-verdict along the module route (dual columns tested for projectivity) and
-serves as an independent cross-check of ``is_gorenstein``.
+verdict along the module route (raw dual columns tested for projectivity
+over m) and serves as an independent cross-check of ``is_gorenstein``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotALatticeError, NotNormalizedError
-from .levels import LevelMatrix, _require_order, normalize_positive
+from .errors import DimensionMismatch, InvalidInputError, NotALatticeError
+from .levels import LevelMatrix, _is_plain_int, _require_order
 
 
 def lattice_violation(m: LevelMatrix, l: Sequence[int]):
@@ -34,6 +35,8 @@ def _lattice_violation(m, l):
     n = m.n
     if len(l) != n:
         raise DimensionMismatch(f"type has length {len(l)} but level has size {n}")
+    if not all(map(_is_plain_int, l)):
+        raise InvalidInputError(f"type entries must be integers, got {tuple(l)!r}")
     rows = m.entries
     for i in range(n):
         ri = rows[i]
@@ -52,22 +55,22 @@ def is_lattice(m: LevelMatrix, l: Sequence[int]) -> bool:
 def projective_witness(m: LevelMatrix, l: Sequence[int]):
     """Witness (column j, shift c), 1-based j, with l[i] = m[i][j] + c for all i.
 
-    Requires m to be an order with zero first row and l to be a lattice over
-    it; callers that normalize m by shifts must adjust l alongside
-    (l[i] -> l[i] + shifts[i]).  Once j is fixed, c is forced by the first
-    coordinate, so the scan is finite.  Returns None when no column matches.
+    Requires m to be an order and l to be a lattice over it.  Once j is
+    fixed, c is forced by the first coordinate, so the scan is finite.
+    Returns None when no column matches.
     """
     _require_order(m)
-    n = m.n
-    if any(m.entries[0][j] != 0 for j in range(n)):
-        raise NotNormalizedError("projectivity test requires a zero first row")
+    return _projective_witness(m, l)
+
+
+def _projective_witness(m, l):
     witness = _lattice_violation(m, l)
     if witness is not None:
         raise NotALatticeError(f"type is not a lattice (violation at {witness})", witness)
     rows = m.entries
-    for j in range(n):
+    for j in range(m.n):
         c = l[0] - rows[0][j]
-        if all(l[i] == rows[i][j] + c for i in range(n)):
+        if all(l[i] == rows[i][j] + c for i in range(m.n)):
             return (j + 1, c)
     return None
 
@@ -159,15 +162,10 @@ def is_gorenstein(m: LevelMatrix) -> bool:
 def gorenstein_via_dual(m: LevelMatrix) -> bool:
     """Independent Gorenstein verdict along the dual-module route.
 
-    Normalizes m to positive type and tests every column of the normalized
-    dual for projectivity over the normalized order.  Used as a cross-check
+    Tests every column of the raw dual for projectivity over m itself; each
+    column is a lattice by the triangle condition.  Used as a cross-check
     oracle against :func:`is_gorenstein`; the two must always agree.
     """
-    base = normalize_positive(m).level
-    dual = dual_level(base).normalized
-    n = base.n
-    for j in range(n):
-        column = tuple(dual.entries[i][j] for i in range(n))
-        if not is_projective(base, column):
-            return False
-    return True
+    _require_order(m)
+    dual = dual_level(m).raw
+    return all(_projective_witness(m, dual.column(j)) is not None for j in range(1, m.n + 1))

@@ -24,10 +24,6 @@ class NotAnOrderError(MonordersError):
         self.witness = witness
 
 
-class NotNormalizedError(MonordersError):
-    """An operation requires a level whose first row is zero."""
-
-
 class NotALatticeError(MonordersError):
     """A column type is not a lattice over the given order."""
 

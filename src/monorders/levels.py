@@ -72,6 +72,8 @@ class LevelMatrix:
 
     @classmethod
     def zero(cls, n: int) -> "LevelMatrix":
+        if not _is_plain_int(n):
+            raise InvalidInputError(f"size must be an integer, got {n!r}")
         return cls(tuple((0,) * n for _ in range(n)))
 
     @property
@@ -118,6 +120,8 @@ class WeylElement:
 
     @classmethod
     def identity(cls, n: int) -> "WeylElement":
+        if not _is_plain_int(n):
+            raise InvalidInputError(f"size must be an integer, got {n!r}")
         return cls((0,) * n, tuple(range(n)))
 
     @property

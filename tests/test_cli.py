@@ -109,6 +109,13 @@ class TestClassify:
         assert main(["classify", non_order_file]) == EXIT_NEGATIVE
         assert "order: no" in capsys.readouterr().out
 
+    def test_json_triangle_violation(self, non_order_file, capsys):
+        # a triple witness is written as a list; a diagonal one is an int
+        assert main(["classify", non_order_file, "--format", "json"]) == EXIT_NEGATIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["is_order"] is False
+        assert payload["witnesses"]["order_violation"] == [3, 2, 1]
+
     def test_json_matches_text_verdicts(self, sec52_file, capsys):
         main(["classify", sec52_file, "--format", "json", "--oracle"])
         payload = json.loads(capsys.readouterr().out)

@@ -1,11 +1,15 @@
+import random
+import re
+
 import pytest
 
 from monorders import (
     DimensionMismatch,
+    InvalidInputError,
     LevelMatrix,
     NotALatticeError,
     NotAnOrderError,
-    NotNormalizedError,
+    conjugate,
     dual_level,
     gorenstein_failing_row,
     gorenstein_via_dual,
@@ -14,9 +18,10 @@ from monorders import (
     is_lattice,
     is_projective,
     lattice_violation,
+    normalize_positive,
     projective_witness,
 )
-from conftest import enumerate_orders
+from conftest import enumerate_orders, random_order, random_weyl
 
 
 def M(rows):
@@ -47,6 +52,16 @@ class TestIsLattice:
         with pytest.raises(NotAnOrderError):
             is_lattice(M([[0, 0, 0], [0, 0, 0], [1, 0, 0]]), (0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "func", [is_lattice, lattice_violation, projective_witness, is_projective], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("l", [(0, 0.5, 1), (0, 1.0, 1), (True, 1, 1)], ids=["half", "float", "bool"])
+    def test_type_entries_must_be_plain_ints(self, func, l):
+        # the hereditary chain: (0, 1, 1) is a lattice and column 1
+        m = M([[0, 0, 0], [1, 0, 0], [1, 1, 0]])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'type entries must be integers, got {l!r}')}$"):
+            func(m, l)
+
 
 class TestIsProjective:
     def test_column_witness(self):
@@ -76,9 +91,36 @@ class TestIsProjective:
         j, c = projective_witness(m, l)
         assert all(l[i] - c == m.entries[i][j - 1] for i in range(4))
 
-    def test_requires_normalized(self):
-        with pytest.raises(NotNormalizedError):
-            is_projective(M([[0, 1], [0, 0]]), (0, 0))
+    def test_any_first_row(self):
+        assert projective_witness(M([[0, 1], [0, 0]]), (0, 0)) == (1, 0)
+
+    def test_matches_the_normalized_route(self):
+        # shifting m by s = m[0] and l to l + s keeps the lattice verdict and
+        # its witness, and moves a projectivity witness (j, c) to (j, c + s_j)
+        rng = random.Random(13)
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            m = conjugate(random_order(rng, n, 4), random_weyl(rng, n))
+            if not any(m.entries[0]):
+                continue
+            j = rng.randrange(n)
+            if rng.random() < 0.5:
+                # a shifted column of m, sometimes with a few entries moved
+                c = rng.randint(-3, 3)
+                l = tuple(e + c + rng.randint(-1, 1) * (rng.random() < 0.3) for e in m.column(j + 1))
+            else:
+                l = tuple(rng.randint(-4, 4) for _ in range(n))
+            form = normalize_positive(m)
+            adjusted = tuple(e + s for e, s in zip(l, form.applied.shifts))
+            try:
+                expected = projective_witness(form.level, adjusted)
+            except NotALatticeError as exc:
+                with pytest.raises(NotALatticeError) as info:
+                    projective_witness(m, l)
+                assert info.value.witness == exc.witness
+                continue
+            got = projective_witness(m, l)
+            assert expected == (None if got is None else (got[0], got[1] + m.entries[0][got[0] - 1]))
 
     def test_requires_lattice(self):
         with pytest.raises(NotALatticeError):
@@ -157,6 +199,13 @@ class TestDualityCrossCheck:
         for n in (2, 3):
             for m in enumerate_orders(n, 2):
                 assert is_gorenstein(m) == gorenstein_via_dual(m)
+
+    def test_agrees_on_conjugated_census_classes(self, census_result):
+        # each (4,2) class under a conjugation, so the first row is rarely zero
+        rng = random.Random(42)
+        for cls in census_result(4, 2).classes:
+            m = cls.canonical
+            assert gorenstein_via_dual(conjugate(m, random_weyl(rng, 4))) == is_gorenstein(m)
 
     def test_gorenstein_positive_type_has_zero_column(self):
         for n in (2, 3, 4):

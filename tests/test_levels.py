@@ -122,6 +122,14 @@ class TestWeylElement:
         with pytest.raises(ValueError):
             WeylElement((0,), (0, 1))
 
+    def test_rejects_non_integer_shifts(self):
+        with pytest.raises(TypeError, match="^shifts must be integers$"):
+            WeylElement((0, 0.5), (0, 1))
+
+    def test_compose_refuses_different_sizes(self):
+        with pytest.raises(DimensionMismatch, match="^cannot compose elements of different sizes$"):
+            compose(WeylElement.identity(2), WeylElement.identity(3))
+
     def test_compose_then_invert_is_identity(self):
         w1 = WeylElement((1, -2, 0), (2, 0, 1))
         w2 = WeylElement((0, 3, -1), (1, 2, 0))
@@ -143,6 +151,8 @@ NOT_PLAIN_INTS = {
     "eichler-float-blocks": (lambda: EichlerShape(2, (1.5, 0.5), 1), "block sizes must be positive integers"),
     "eichler-bool-blocks": (lambda: EichlerShape(1, (True,), None), "block sizes must be positive integers"),
     "eichler-bool-period": (lambda: EichlerShape(True, (2,), None), "period must equal the number of blocks"),
+    "level-bool-size": (lambda: LevelMatrix.zero(True), "^size must be an integer, got True$"),
+    "weyl-float-size": (lambda: WeylElement.identity(2.0), r"^size must be an integer, got 2\.0$"),
 }
 
 

@@ -1,13 +1,17 @@
-"""Checks of the installed program, each run in a fresh interpreter."""
+"""Checks of the installed program and of the packaging metadata that installs it."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import monorders
+from monorders import cli
 
 SRC = str(Path(monorders.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_python(*args):
@@ -46,3 +50,31 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert (done.returncode, done.stdout) == (code, out), done.stderr
     assert done.stderr.startswith(f"error: cannot read {missing}")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [("2\n0 0\n1 0\n", 0), ("3\n0 0 0\n0 0 0\n1 0 0\n", 1), (None, 2)],
+    ids=["order", "non-order", "missing"],
+)
+def test_console_script_entry_exit_codes(text, code, tmp_path, monkeypatch, capsys):
+    # cli.entry is what the installed `monorders` script calls
+    path = tmp_path / "level.lvl"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(sys, "argv", ["monorders", "check", str(path)])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == code
+    capsys.readouterr()
+
+
+def test_pyproject_names_the_entry_point_and_ships_the_family_table():
+    # read offline, since checking the metadata by building a wheel needs a build backend
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"monorders": "monorders.cli:entry"}
+    package = ROOT / "src" / "monorders"
+    patterns = project["tool"]["setuptools"]["package-data"]["monorders"]
+    shipped = {path.relative_to(package).as_posix() for pattern in patterns for path in package.glob(pattern)}
+    assert "data/gorenstein_families_n4.json" in shipped
