@@ -17,6 +17,7 @@ family table.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, NotAnOrderError
@@ -25,11 +26,10 @@ from .families import load_families
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
-    _canonical_sigma,
     _check_search_cap,
-    _conjugate_rows,
     _conjugates,
     _is_plain_int,
+    _order,
     _orders_in_box,
     canonical_form,
 )
@@ -56,7 +56,9 @@ class CensusQuery:
             raise InvalidInputError("census size must be positive")
         if not _is_plain_int(self.bound) or self.bound < 0:
             raise InvalidInputError("census bound must be nonnegative")
-        if isinstance(self.filters, str):
+        if isinstance(self.filters, str) or not (
+            isinstance(self.filters, Collection) and all(isinstance(name, str) for name in self.filters)
+        ):
             raise InvalidInputError(f"filters must be a collection of filter names, got {self.filters!r}")
         unknown = set(self.filters) - set(FILTERS)
         if unknown:
@@ -114,13 +116,11 @@ def census(
         orbit = {level for level, _ in _conjugates(rows, n)}
         # conjugates are normalized (zero first row, no negative entry): in the box iff max <= bound
         in_box = {level for level in orbit if max(map(max, level)) <= bound}
-        counts[LevelMatrix(min(orbit))] = len(in_box)
+        counts[_order(min(orbit))] = len(in_box)
         pending |= in_box - {rows}
 
-    all_classes = []
-    for canonical in sorted(counts, key=lambda c: c.entries):
-        report = classify(canonical, search_cap)
-        all_classes.append(CensusClass(canonical, report, counts[canonical]))
+    ordered = sorted(counts, key=lambda c: c.entries)
+    all_classes = [CensusClass(c, classify(c, search_cap), counts[c]) for c in ordered]
 
     passed = [frozenset(name for name, test in FILTERS.items() if test(c)) for c in all_classes]
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
@@ -135,8 +135,8 @@ def match_family(level: LevelMatrix):
     Returns (family, params), params a dict of the family's parameters ({}
     for the parameterless family), or None.  Total: size mismatches and
     non-orders yield None.  The level's canonical form is found once and
-    compared with that of each candidate instance, which is not checked: the
-    table makes every instance an order.  The search is finite because the
+    compared with that of each candidate instance, which comes marked as an
+    order (the table makes every instance one).  The search is finite as the
     maximal off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant
     and every family pattern realizes it as a, or as a + b.
     """
@@ -144,7 +144,7 @@ def match_family(level: LevelMatrix):
     if not families:
         return None
     try:
-        target = canonical_form(level)[0].entries
+        target = canonical_form(level)[0]
     except NotAnOrderError:
         return None
     rows, n = level.entries, level.n
@@ -157,8 +157,6 @@ def match_family(level: LevelMatrix):
         else:
             assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
         for params in assignments:
-            instance = family.instantiate(**params).entries
-            sigma = _canonical_sigma(instance, n)
-            if _conjugate_rows(instance, n, instance[sigma.index(0)], sigma) == target:
+            if canonical_form(family.instantiate(**params))[0] == target:
                 return family, params
     return None

@@ -25,6 +25,7 @@ from .levels import (
     LevelMatrix,
     _is_plain_int,
     _is_upper_triangular_rows,
+    _order,
     _require_order,
     canonical_form,
     is_upper_triangular,
@@ -140,7 +141,7 @@ def triangular_form(m: LevelMatrix) -> Optional[LevelMatrix]:
     """Lex-min upper triangular normalized permutation conjugate, or None."""
     _require_order(m)
     rows = _triangular_rows(m.entries, m.n)
-    return None if rows is None else LevelMatrix(rows)
+    return None if rows is None else _order(rows)
 
 
 def _bass_verdict(shape: Optional[EichlerShape]) -> tuple[bool, bool, str]:

@@ -17,11 +17,11 @@ import sys
 from .errors import MonordersError, NotALatticeError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
-from .duality import _projective_witness, dual_level
+from .duality import dual_level, projective_witness
 from .levelio import _is_int, _parse_int, load_level
 from .levels import (
     DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
-    normalize_positive, order_violation,
+    is_order, normalize_positive, order_violation,
 )
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
@@ -191,7 +191,7 @@ def cmd_classify(args) -> int:
     level = load_level(args.file)
     budget = _budget(args.budget)
     answer = None
-    if args.oracle and order_violation(level) is None:
+    if args.oracle and is_order(level):
         # classify's cap refusal first, then the oracle's, before any classifying
         _check_search_cap(level.n, args.cap)
         answer = bass_oracle(level, budget)
@@ -277,11 +277,9 @@ def cmd_projective(args) -> int:
     form = normalize_positive(level)
     lattice_type = _parse_type_vector(args.type_vector, level.n)
     normalized = form.level
-    adjusted = tuple(
-        lattice_type[i] + form.applied.shifts[i] for i in range(level.n)
-    )
+    adjusted = tuple(t + s for t, s in zip(lattice_type, form.applied.shifts))
     try:
-        witness = _projective_witness(normalized, adjusted)
+        witness = projective_witness(normalized, adjusted)
     except NotALatticeError as exc:
         if args.format == "json":
             print(json.dumps({

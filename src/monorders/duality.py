@@ -28,10 +28,6 @@ from .levels import LevelMatrix, _is_plain_int, _require_order
 def lattice_violation(m: LevelMatrix, l: Sequence[int]):
     """First 1-based pair (i, j) with m[i][j] + l[j] < l[i], or None."""
     _require_order(m)
-    return _lattice_violation(m, l)
-
-
-def _lattice_violation(m, l):
     n = m.n
     if len(l) != n:
         raise DimensionMismatch(f"type has length {len(l)} but level has size {n}")
@@ -59,12 +55,7 @@ def projective_witness(m: LevelMatrix, l: Sequence[int]):
     fixed, c is forced by the first coordinate, so the scan is finite.
     Returns None when no column matches.
     """
-    _require_order(m)
-    return _projective_witness(m, l)
-
-
-def _projective_witness(m, l):
-    witness = _lattice_violation(m, l)
+    witness = lattice_violation(m, l)
     if witness is not None:
         raise NotALatticeError(f"type is not a lattice (violation at {witness})", witness)
     rows = m.entries
@@ -137,15 +128,13 @@ def gorenstein_witnesses(m: LevelMatrix):
     negated row i equals column j up to the additive constant c(i).
     """
     _require_order(m)
-    witnesses, _ = _gorenstein_scan(m)
-    return witnesses
+    return _gorenstein_scan(m)[0]
 
 
 def gorenstein_failing_row(m: LevelMatrix):
     """First 1-based row without a witness, or None for Gorenstein orders."""
     _require_order(m)
-    _, failing = _gorenstein_scan(m)
-    return failing
+    return _gorenstein_scan(m)[1]
 
 
 def is_gorenstein(m: LevelMatrix) -> bool:
@@ -155,8 +144,7 @@ def is_gorenstein(m: LevelMatrix) -> bool:
     is needed.
     """
     _require_order(m)
-    witnesses, _ = _gorenstein_scan(m)
-    return witnesses is not None
+    return _gorenstein_scan(m)[0] is not None
 
 
 def gorenstein_via_dual(m: LevelMatrix) -> bool:
@@ -167,5 +155,4 @@ def gorenstein_via_dual(m: LevelMatrix) -> bool:
     oracle against :func:`is_gorenstein`; the two must always agree.
     """
     _require_order(m)
-    dual = dual_level(m).raw
-    return all(_projective_witness(m, dual.column(j)) is not None for j in range(1, m.n + 1))
+    return all(projective_witness(m, column) is not None for column in zip(*dual_level(m).raw.entries))

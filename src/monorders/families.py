@@ -15,7 +15,7 @@ from functools import cache
 from importlib.resources import files
 
 from .errors import InvalidInputError
-from .levels import LevelMatrix, _is_plain_int
+from .levels import LevelMatrix, _is_plain_int, _order
 
 _ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
 
@@ -38,7 +38,7 @@ class Family:
             if name not in self.params and value is not None:
                 raise InvalidInputError(f"family {self.index} takes no parameter {name}")
         values = {expr: ca * (a or 0) + cb * (b or 0) for expr, (ca, cb) in _ENTRY_COEFFS.items()}
-        return LevelMatrix(tuple(tuple(values[expr] for expr in row) for row in self.pattern))
+        return _order(tuple(tuple(values[expr] for expr in row) for row in self.pattern))
 
 
 @cache

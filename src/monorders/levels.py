@@ -8,7 +8,8 @@ m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
 An order is checked where it enters: a public function that needs one raises
 ``NotAnOrderError`` through ``_require_order``, worded as the command line
-prints it, and a value built from an order is not checked again.
+prints it.  A level that passes, or is built as an order, keeps a private
+mark, so a value built from an order is not checked again.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -24,14 +25,14 @@ normalized permutation conjugate is a canonical representative per
 conjugacy class (:func:`canonical_form`), found by a search that fills
 positions one at a time rather than by scanning all n! permutations.
 
-All values are immutable and all functions are pure, so everything here is
-safe to share between threads.
+Values compare, hash and print by their entries; the one write, the order
+mark, is set once, so a race between threads at worst repeats a scan.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -54,6 +55,7 @@ class LevelMatrix:
     """
 
     entries: tuple[tuple[int, ...], ...]
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.entries)
@@ -110,6 +112,8 @@ class WeylElement:
 
     def __post_init__(self):
         n = len(self.shifts)
+        if n == 0:
+            raise InvalidInputError("a Weyl element has size at least 1")
         if len(self.perm) != n:
             raise InvalidInputError("shifts and perm must have the same length")
         if not all(map(_is_plain_int, self.perm)) or sorted(self.perm) != list(range(n)):
@@ -180,7 +184,16 @@ def order_violation(m: LevelMatrix):
 
 def is_order(m: LevelMatrix) -> bool:
     """True iff the diagonal vanishes and the triangle condition holds."""
-    return order_violation(m) is None
+    if not m._checked and order_violation(m) is None:
+        object.__setattr__(m, "_checked", True)
+    return m._checked
+
+
+def _order(rows):
+    # a level of rows built as an order, marked so that it is not checked again
+    m = LevelMatrix(rows)
+    object.__setattr__(m, "_checked", True)
+    return m
 
 
 def _orders_in_box(lo, hi):
@@ -253,9 +266,11 @@ def _violation_text(witness) -> str:
 
 
 def _require_order(m):
-    witness = order_violation(m)
-    if witness is not None:
-        raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
+    if not m._checked:
+        witness = order_violation(m)
+        if witness is not None:
+            raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
+        object.__setattr__(m, "_checked", True)
 
 
 def _conjugate_rows(rows, n, shifts, perm):
@@ -273,11 +288,12 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
     """Conjugate a level by a Weyl element.
 
     Entry (perm[i], perm[j]) of the result is m[i][j] + shifts[i] - shifts[j].
-    The order condition is preserved in both directions.
+    The order condition is preserved in both directions, and so is the mark
+    of a level known to be an order.
     """
     if w.n != m.n:
         raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
-    return LevelMatrix(_conjugate_rows(m.entries, m.n, w.shifts, w.perm))
+    return (_order if m._checked else LevelMatrix)(_conjugate_rows(m.entries, m.n, w.shifts, w.perm))
 
 
 def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import BudgetExceededError
-from .duality import _gorenstein_scan, is_gorenstein
+from .duality import is_gorenstein
 from .levelio import _digit_limit
-from .levels import LevelMatrix, _orders_in_box, _require_order
+from .levels import LevelMatrix, _order, _orders_in_box, _require_order
 
 DEFAULT_BUDGET = 10**7
 
@@ -82,7 +82,7 @@ def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
     rows = m.entries
     lo = tuple(tuple(-row[i] for row in rows) for i in range(m.n))
     found = sorted(_orders_in_box(lo, rows))
-    return OverorderSet(m, tuple(LevelMatrix(level) for level in found))
+    return OverorderSet(m, tuple(_order(level) for level in found))
 
 
 def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
@@ -92,18 +92,18 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     Among the failures, w is the one closest to the base (smallest total
     entrywise difference, ties broken lexicographically), so the witness is
     a minimal perturbation of the input.  Candidates are tested in that
-    order, the base first (the only one at distance 0, so a non-Gorenstein
-    base needs no enumeration), up to the first failure.  Refuses as
-    ``overorders`` does: the order check of ``is_gorenstein``, then the budget.
+    order by ``is_gorenstein``, the base first (the only one at distance 0,
+    so a non-Gorenstein base needs no enumeration), up to the first failure;
+    the members come marked as orders, so only the base is scanned.  Refuses
+    as ``overorders`` does: the order check of ``is_gorenstein``, then the budget.
     """
     gorenstein = is_gorenstein(m)
     _check_overorder_budget(m, budget)
     if not gorenstein:
         return False, m
     total = sum(map(sum, m.entries))
-    # a stable sort: members come sorted by entries, which breaks the ties;
-    # the box search builds only orders, so members skip the order check
+    # a stable sort: members come sorted by entries, which breaks the ties
     for member in sorted(overorders(m, budget), key=lambda level: total - sum(map(sum, level.entries))):
-        if _gorenstein_scan(member)[0] is None:
+        if not is_gorenstein(member):
             return False, member
     return True, None

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -217,6 +220,34 @@ class TestClassify:
     def test_canonical_in_report_is_idempotent(self):
         report = classify(SEC52)
         assert classify(report.canonical).canonical == report.canonical
+
+    @pytest.mark.parametrize(
+        "rows",
+        [SEC52.entries, ((0, 0, 0), (1, 0, 0), (1, 1, 0)), ((0, 0, 0), (0, 0, 0), (1, 0, 0))],
+        ids=["sec52", "staircase", "non-order"],
+    )
+    def test_one_level_shared_between_threads(self, rows):
+        # the order mark is the one write to a level: four threads (more than
+        # the cores of a small runner) that classify the same fresh level at
+        # once, switching often, each get the single-thread report
+        expected = classify(LevelMatrix(rows))
+        shared = LevelMatrix(rows)
+        start = threading.Barrier(4, timeout=10)
+
+        def run():
+            start.wait()
+            return classify(shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run) for _ in range(4)]
+                reports = [future.result(timeout=10) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [expected] * 4
+        assert [report.to_dict() for report in reports] == [expected.to_dict()] * 4
 
     def test_report_json_shape(self):
         payload = classify(M([[0, 0], [1, 0]])).to_dict()

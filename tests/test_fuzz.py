@@ -2,18 +2,50 @@
 
 Parsing either returns a level or raises a MonordersError (which the CLI
 turns into exit 2 and one error line); ``cli.main`` returns 0-3, or argparse
-exits 0 or 2, and nothing escapes as a traceback.  Sizes stay small so every
-generated command finishes in milliseconds.
+exits 0 or 2, and nothing escapes as a traceback.  A last property checks
+that the private order mark changes no public verdict.  Sizes stay small so
+every generated command finishes in milliseconds.
 """
 
 import contextlib
 import io
 import json
+from functools import partial
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from monorders import LevelMatrix, MonordersError, parse_level, parse_level_json
+from monorders import (
+    LevelMatrix,
+    MonordersError,
+    WeylElement,
+    bass_oracle,
+    canonical_form,
+    classify,
+    classify_eichler,
+    conjugate,
+    dual_level,
+    eichler_shape_of_triangular,
+    gorenstein_failing_row,
+    gorenstein_via_dual,
+    gorenstein_witnesses,
+    is_bass,
+    is_gorenstein,
+    is_hereditary,
+    is_lattice,
+    is_order,
+    is_projective,
+    lattice_violation,
+    match_family,
+    normalize_positive,
+    order_violation,
+    overorders,
+    parse_level,
+    parse_level_json,
+    projective_witness,
+    triangular_form,
+    truncate,
+)
 from monorders.cli import main
 
 from conftest import min_plus_closure
@@ -146,3 +178,70 @@ def test_command_line_ends_in_an_exit_code(tmp_path_factory, argv, content):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
     assert (out.getvalue() if code in (0, 1) else err.getvalue()).strip(), argv
+
+
+@st.composite
+def verdict_inputs(draw):
+    # (rows, type): an order, a conjugated order, or a non-order (a broken
+    # triangle or a nonzero diagonal) with n <= 5, and a column type for it
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["order", "conjugate", "triangle", "diagonal"]))
+    rows = [[0 if i == j else draw(st.integers(0, 2)) for j in range(n)] for i in range(n)]
+    if kind in ("order", "conjugate"):
+        rows = min_plus_closure(rows)
+    if kind == "diagonal":
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = draw(st.sampled_from([-1, 1, 2]))
+    level = LevelMatrix.from_rows(rows)
+    if kind == "conjugate":
+        shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        level = conjugate(level, WeylElement(tuple(shifts), tuple(draw(st.permutations(range(n))))))
+    column = [row[draw(st.integers(0, n - 1))] for row in level.entries]
+    lattice_type = draw(st.sampled_from([column, [e + 1 for e in column], [0] * n, list(range(n))]))
+    return level.entries, tuple(lattice_type)
+
+
+def _outcome(verdict, level, *args):
+    try:
+        return "value", verdict(level, *args)
+    except MonordersError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+# every public verdict on a level, and on a level and a column type; the
+# small budget keeps each overorder search short or refuses it
+LEVEL_VERDICTS = [
+    is_order,
+    order_violation,
+    canonical_form,
+    normalize_positive,
+    triangular_form,
+    classify_eichler,
+    eichler_shape_of_triangular,
+    is_hereditary,
+    is_bass,
+    truncate,
+    is_gorenstein,
+    gorenstein_witnesses,
+    gorenstein_failing_row,
+    gorenstein_via_dual,
+    dual_level,
+    partial(overorders, budget=10**4),
+    partial(bass_oracle, budget=10**4),
+    match_family,
+    classify,
+]
+TYPE_VERDICTS = [lattice_violation, is_lattice, projective_witness, is_projective]
+
+
+@settings(FUZZ, max_examples=200)
+@given(verdict_inputs())
+def test_verdicts_do_not_depend_on_an_earlier_classify(case):
+    # classify marks an order it has checked, and every value it builds from
+    # one; no public verdict may answer differently on the marked level
+    rows, lattice_type = case
+    used = LevelMatrix(rows)
+    classify(used)
+    calls = [(verdict, ()) for verdict in LEVEL_VERDICTS] + [(verdict, (lattice_type,)) for verdict in TYPE_VERDICTS]
+    for verdict, args in calls:
+        assert _outcome(verdict, used, *args) == _outcome(verdict, LevelMatrix(rows), *args), verdict

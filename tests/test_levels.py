@@ -67,6 +67,16 @@ class TestLevelMatrix:
         assert M([[0, 1], [2, 0]]) == M([[0, 1], [2, 0]])
         assert len({M([[0]]), M([[0]])}) == 1
 
+    def test_order_mark_is_not_part_of_the_value(self):
+        # a level that passed the order check carries a private mark; it
+        # changes neither equality, nor the hash, nor the repr
+        marked, fresh = M([[0, 1], [0, 0]]), M([[0, 1], [0, 0]])
+        assert is_order(marked)
+        assert marked._checked and not fresh._checked
+        assert marked == fresh and hash(marked) == hash(fresh)
+        assert len({marked, fresh}) == 1
+        assert repr(marked) == repr(fresh) == "LevelMatrix(entries=((0, 1), (0, 0)))"
+
 
 class TestIsOrder:
     def test_upper_triangular_is_order(self):
@@ -85,6 +95,29 @@ class TestIsOrder:
 
     def test_negative_entries_allowed(self):
         assert is_order(M([[0, 1], [-1, 0]]))
+
+    def test_a_refused_non_order_is_never_marked(self):
+        bad = M([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        for _ in range(2):
+            assert not is_order(bad)
+            with pytest.raises(NotAnOrderError) as info:
+                is_gorenstein(bad)
+            assert info.value.witness == (3, 2, 1)
+        assert not bad._checked
+        # a conjugate of a non-order is refused too, with its own witness
+        moved = conjugate(bad, WeylElement((1, 0, -1), (2, 0, 1)))
+        with pytest.raises(NotAnOrderError) as info:
+            is_gorenstein(moved)
+        assert info.value.witness == order_violation(moved) is not None
+
+    def test_values_built_from_an_order_are_marked(self):
+        m = M([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+        assert not conjugate(m, WeylElement((1, 0, 2), (1, 2, 0)))._checked
+        assert is_order(m)
+        assert conjugate(m, WeylElement((1, 0, 2), (1, 2, 0)))._checked
+        assert canonical_form(m)[0]._checked and normalize_positive(m).level._checked
+        assert triangular_form(m)._checked
+        assert all(member._checked for member in overorders(m))
 
 
 NON_ORDERS = {
@@ -125,6 +158,16 @@ class TestWeylElement:
     def test_rejects_non_integer_shifts(self):
         with pytest.raises(TypeError, match="^shifts must be integers$"):
             WeylElement((0, 0.5), (0, 1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: WeylElement.identity(0), lambda: WeylElement.identity(-3), lambda: WeylElement((), ())],
+        ids=["identity-0", "identity-negative", "empty"],
+    )
+    def test_rejects_size_zero(self, build):
+        # every level has size at least 1, and so does every element acting on one
+        with pytest.raises(InvalidInputError, match="^a Weyl element has size at least 1$"):
+            build()
 
     def test_compose_refuses_different_sizes(self):
         with pytest.raises(DimensionMismatch, match="^cannot compose elements of different sizes$"):
