@@ -119,8 +119,10 @@ def census(
         counts[_order(min(orbit))] = len(in_box)
         pending |= in_box - {rows}
 
-    ordered = sorted(counts, key=lambda c: c.entries)
-    all_classes = [CensusClass(c, classify(c, search_cap), counts[c]) for c in ordered]
+    all_classes = []
+    for canonical in sorted(counts, key=lambda c: c.entries):
+        report = classify(canonical, search_cap)
+        all_classes.append(CensusClass(canonical, report, counts[canonical]))
 
     passed = [frozenset(name for name, test in FILTERS.items() if test(c)) for c in all_classes]
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
@@ -136,9 +138,10 @@ def match_family(level: LevelMatrix):
     for the parameterless family), or None.  Total: size mismatches and
     non-orders yield None.  The level's canonical form is found once and
     compared with that of each candidate instance, which comes marked as an
-    order (the table makes every instance one).  The search is finite as the
-    maximal off-diagonal pair sum m[i][j] + m[j][i] is a conjugacy invariant
-    and every family pattern realizes it as a, or as a + b.
+    order (``Family`` refuses a pattern with an instance that is not one).
+    The search is finite because the maximal off-diagonal pair sum
+    m[i][j] + m[j][i] is a conjugacy invariant and every family pattern
+    realizes it as a, or as a + b.
     """
     families = [family for family in load_families() if family.n == level.n]
     if not families:

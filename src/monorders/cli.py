@@ -277,7 +277,9 @@ def cmd_projective(args) -> int:
     form = normalize_positive(level)
     lattice_type = _parse_type_vector(args.type_vector, level.n)
     normalized = form.level
-    adjusted = tuple(t + s for t, s in zip(lattice_type, form.applied.shifts))
+    adjusted = tuple(
+        lattice_type[i] + form.applied.shifts[i] for i in range(level.n)
+    )
     try:
         witness = projective_witness(normalized, adjusted)
     except NotALatticeError as exc:

@@ -128,13 +128,15 @@ def gorenstein_witnesses(m: LevelMatrix):
     negated row i equals column j up to the additive constant c(i).
     """
     _require_order(m)
-    return _gorenstein_scan(m)[0]
+    witnesses, _ = _gorenstein_scan(m)
+    return witnesses
 
 
 def gorenstein_failing_row(m: LevelMatrix):
     """First 1-based row without a witness, or None for Gorenstein orders."""
     _require_order(m)
-    return _gorenstein_scan(m)[1]
+    _, failing = _gorenstein_scan(m)
+    return failing
 
 
 def is_gorenstein(m: LevelMatrix) -> bool:
@@ -144,7 +146,8 @@ def is_gorenstein(m: LevelMatrix) -> bool:
     is needed.
     """
     _require_order(m)
-    return _gorenstein_scan(m)[0] is not None
+    witnesses, _ = _gorenstein_scan(m)
+    return witnesses is not None
 
 
 def gorenstein_via_dual(m: LevelMatrix) -> bool:
@@ -155,4 +158,5 @@ def gorenstein_via_dual(m: LevelMatrix) -> bool:
     oracle against :func:`is_gorenstein`; the two must always agree.
     """
     _require_order(m)
-    return all(projective_witness(m, column) is not None for column in zip(*dual_level(m).raw.entries))
+    dual = dual_level(m).raw
+    return all(projective_witness(m, dual.column(j)) is not None for j in range(1, m.n + 1))

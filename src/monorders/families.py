@@ -4,11 +4,13 @@ The family patterns ship as data (data/gorenstein_families_n4.json); each
 entry is one of the linear expressions 0, a, b, a+b in the positive integer
 parameters.  Every diagonal entry is 0, and the coefficients of each entry
 (i, k) are at most those of (i, j) plus those of (j, k), so every instance
-is an order; the test suite checks this of the table once.
+is an order.  ``Family`` refuses a pattern that breaks these conditions,
+so its instances come marked as orders.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -25,6 +27,23 @@ class Family:
     index: int
     params: tuple[str, ...]
     pattern: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        # the conditions that make every instance (a, b >= 0) an order, so
+        # that instantiate hands it out marked as one
+        n = len(self.pattern)
+        square = all(len(row) == n for row in self.pattern)
+        if not square or not all(isinstance(e, str) and e in _ENTRY_COEFFS for row in self.pattern for e in row):
+            raise InvalidInputError(f"family {self.index} pattern must be a square table of 0, a, b, a+b")
+        coeffs = [[_ENTRY_COEFFS[expr] for expr in row] for row in self.pattern]
+        if any(coeffs[i][i] != (0, 0) for i in range(n)):
+            raise InvalidInputError(f"family {self.index} has a nonzero diagonal entry")
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if any(x > y + z for x, y, z in zip(coeffs[i][k], coeffs[i][j], coeffs[j][k])):
+                raise InvalidInputError(
+                    f"family {self.index} has instances that are not orders: entry ({i + 1},{k + 1}) "
+                    f"exceeds ({i + 1},{j + 1}) plus ({j + 1},{k + 1})"
+                )
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ mark, is set once, so a race between threads at worst repeats a scan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -51,11 +51,12 @@ class LevelMatrix:
 
     Entries are stored as a tuple of row tuples and may be any integers;
     validity as an order is a separate query (`is_order`), so intermediate
-    states such as enumeration candidates or duals are representable.
+    states such as enumeration candidates or duals are representable.  A
+    level known to be an order carries the private attribute ``_checked``,
+    which is not a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.entries)
@@ -184,9 +185,9 @@ def order_violation(m: LevelMatrix):
 
 def is_order(m: LevelMatrix) -> bool:
     """True iff the diagonal vanishes and the triangle condition holds."""
-    if not m._checked and order_violation(m) is None:
+    if not getattr(m, "_checked", False) and order_violation(m) is None:
         object.__setattr__(m, "_checked", True)
-    return m._checked
+    return getattr(m, "_checked", False)
 
 
 def _order(rows):
@@ -266,7 +267,7 @@ def _violation_text(witness) -> str:
 
 
 def _require_order(m):
-    if not m._checked:
+    if not getattr(m, "_checked", False):
         witness = order_violation(m)
         if witness is not None:
             raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
@@ -293,7 +294,8 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
     """
     if w.n != m.n:
         raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
-    return (_order if m._checked else LevelMatrix)(_conjugate_rows(m.entries, m.n, w.shifts, w.perm))
+    rows = _conjugate_rows(m.entries, m.n, w.shifts, w.perm)
+    return _order(rows) if getattr(m, "_checked", False) else LevelMatrix(rows)
 
 
 def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:

@@ -8,6 +8,7 @@ import pytest
 from monorders import (
     BudgetExceededError,
     CensusQuery,
+    Family,
     InvalidInputError,
     LevelMatrix,
     bass_oracle,
@@ -18,6 +19,7 @@ from monorders import (
     is_upper_triangular,
     load_families,
     match_family,
+    order_violation,
 )
 from monorders.census import _census_box
 from monorders.cli import main
@@ -279,16 +281,34 @@ class TestFamilies:
                 families[1].instantiate(a=value)
 
     def test_table_instances_are_orders(self):
-        # these three checks make every instance (a, b >= 0) an order, so
-        # neither load_families nor match_family checks the table at run time
-        coeffs = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
+        # instances come marked as orders; order_violation scans regardless
         for family in load_families():
-            pattern = family.pattern
-            assert {expr for row in pattern for expr in row} <= set(coeffs)
-            assert all(pattern[i][i] == "0" for i in range(family.n))
-            for i, j, k in itertools.product(range(family.n), repeat=3):
-                ik, ij, jk = coeffs[pattern[i][k]], coeffs[pattern[i][j]], coeffs[pattern[j][k]]
-                assert all(x <= y + z for x, y, z in zip(ik, ij, jk)), (family.index, i, j, k)
+            for a in range(1, 5):
+                for b in range(1, 5):
+                    params = {name: value for name, value in (("a", a), ("b", b)) if name in family.params}
+                    assert order_violation(family.instantiate(**params)) is None, (family.index, params)
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            # a = 1 gives m[1][2] = 1 > m[1][3] + m[3][2] = 0
+            ((("0", "a", "0"), ("0", "0", "0"), ("0", "0", "0")), r"entry \(1,2\) exceeds \(1,3\) plus \(3,2\)"),
+            ((("0", "0"), ("b", "a+b")), "nonzero diagonal entry"),
+            ((("0", "c"), ("0", "0")), "square table of 0, a, b, a"),
+            ((("0", 1), ("0", "0")), "square table of 0, a, b, a"),
+            ((("0", "a"), ("0",)), "square table of 0, a, b, a"),
+        ],
+    )
+    def test_a_pattern_with_non_order_instances_is_refused(self, pattern, message):
+        # a hand-built family never hands out a non-order marked as an order
+        with pytest.raises(InvalidInputError, match=message):
+            Family(0, ("a", "b"), pattern)
+
+    def test_hand_built_family_instances_are_orders(self):
+        family = Family(0, ("a", "b"), (("0", "a", "a+b"), ("0", "0", "b"), ("0", "0", "0")))
+        instance = family.instantiate(a=2, b=3)
+        assert instance == LevelMatrix.from_rows([[0, 2, 5], [0, 0, 3], [0, 0, 0]])
+        assert order_violation(instance) is None and is_order(instance)
 
     def test_instances_are_gorenstein_orders(self):
         # the CLI matches families only against Gorenstein classes

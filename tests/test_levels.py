@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -31,6 +32,11 @@ from conftest import brute_canonical_form, enumerate_orders, random_order, rando
 
 def M(rows):
     return LevelMatrix.from_rows(rows)
+
+
+def _marked(m):
+    # the private order mark, an attribute outside the dataclass fields
+    return getattr(m, "_checked", False)
 
 
 class TestLevelMatrix:
@@ -69,13 +75,16 @@ class TestLevelMatrix:
 
     def test_order_mark_is_not_part_of_the_value(self):
         # a level that passed the order check carries a private mark; it
-        # changes neither equality, nor the hash, nor the repr
+        # changes neither equality, nor the hash, nor the repr, nor the fields
         marked, fresh = M([[0, 1], [0, 0]]), M([[0, 1], [0, 0]])
         assert is_order(marked)
-        assert marked._checked and not fresh._checked
+        assert _marked(marked) and not _marked(fresh)
         assert marked == fresh and hash(marked) == hash(fresh)
         assert len({marked, fresh}) == 1
         assert repr(marked) == repr(fresh) == "LevelMatrix(entries=((0, 1), (0, 0)))"
+        assert [f.name for f in dataclasses.fields(LevelMatrix)] == ["entries"]
+        assert dataclasses.asdict(marked) == dataclasses.asdict(fresh) == {"entries": ((0, 1), (0, 0))}
+        assert dataclasses.astuple(marked) == dataclasses.astuple(fresh)
 
 
 class TestIsOrder:
@@ -103,7 +112,7 @@ class TestIsOrder:
             with pytest.raises(NotAnOrderError) as info:
                 is_gorenstein(bad)
             assert info.value.witness == (3, 2, 1)
-        assert not bad._checked
+        assert not _marked(bad)
         # a conjugate of a non-order is refused too, with its own witness
         moved = conjugate(bad, WeylElement((1, 0, -1), (2, 0, 1)))
         with pytest.raises(NotAnOrderError) as info:
@@ -112,12 +121,12 @@ class TestIsOrder:
 
     def test_values_built_from_an_order_are_marked(self):
         m = M([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-        assert not conjugate(m, WeylElement((1, 0, 2), (1, 2, 0)))._checked
+        assert not _marked(conjugate(m, WeylElement((1, 0, 2), (1, 2, 0))))
         assert is_order(m)
-        assert conjugate(m, WeylElement((1, 0, 2), (1, 2, 0)))._checked
-        assert canonical_form(m)[0]._checked and normalize_positive(m).level._checked
-        assert triangular_form(m)._checked
-        assert all(member._checked for member in overorders(m))
+        assert _marked(conjugate(m, WeylElement((1, 0, 2), (1, 2, 0))))
+        assert _marked(canonical_form(m)[0]) and _marked(normalize_positive(m).level)
+        assert _marked(triangular_form(m))
+        assert all(_marked(member) for member in overorders(m))
 
 
 NON_ORDERS = {
