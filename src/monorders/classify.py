@@ -116,6 +116,8 @@ def _triangular_rows(rows, n):
     best = None
     for base in rows:
         norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
+        if any(norm[i][j] and norm[j][i] for i in range(n) for j in range(i)):
+            continue  # i and j incomparable: the preorder is not total
         order = sorted(range(n), key=lambda i: sum(norm[k][i] == 0 for k in range(n)))
         candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
         if _is_upper_triangular_rows(candidate, n) and (best is None or candidate < best):

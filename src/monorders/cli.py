@@ -10,6 +10,7 @@ theorem implementation and is therefore reported loudly).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,8 +391,7 @@ def _family_match(cls):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MonordersError as exc:
@@ -403,5 +403,7 @@ def entry():
     sys.exit(main())
 
 
+# main's parser, built by its first call; cmd_* patched after that call are not reached
+_parser = functools.cache(build_parser)
 if __name__ == "__main__":
     entry()

@@ -5,7 +5,8 @@ entry is one of the linear expressions 0, a, b, a+b in the positive integer
 parameters.  Every diagonal entry is 0, and the coefficients of each entry
 (i, k) are at most those of (i, j) plus those of (j, k), so every instance
 is an order.  ``Family`` refuses a pattern that breaks these conditions,
-so its instances come marked as orders.
+so its instances come marked as orders; it also refuses ``params`` other
+than the parameters its pattern uses, in the order a, b.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ class Family:
                     f"family {self.index} has instances that are not orders: entry ({i + 1},{k + 1}) "
                     f"exceeds ({i + 1},{j + 1}) plus ({j + 1},{k + 1})"
                 )
+        # params name exactly the parameters the pattern uses, a before b
+        used = tuple(name for t, name in enumerate(("a", "b")) if any(c[t] for row in coeffs for c in row))
+        if self.params != used:
+            raise InvalidInputError(
+                f"family {self.index} params must be {list(used)}, the parameters its pattern uses"
+            )
 
     @property
     def n(self) -> int:

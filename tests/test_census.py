@@ -304,6 +304,21 @@ class TestFamilies:
         with pytest.raises(InvalidInputError, match=message):
             Family(0, ("a", "b"), pattern)
 
+    @pytest.mark.parametrize(
+        "params, pattern, used",
+        [
+            # b is used but not named: instantiate(a=1) would set b = 0
+            (("a",), (("0", "b"), ("0", "0")), r"\['b'\]"),
+            # c is named but no call can set it
+            (("c",), (("0", "a"), ("0", "0")), r"\['a'\]"),
+            (("b", "a"), (("0", "a"), ("b", "0")), r"\['a', 'b'\]"),
+            (("a",), (("0", "0"), ("0", "0")), r"\[\]"),
+        ],
+    )
+    def test_params_other_than_the_pattern_uses_are_refused(self, params, pattern, used):
+        with pytest.raises(InvalidInputError, match=f"family 0 params must be {used}, the parameters its pattern uses"):
+            Family(0, params, pattern)
+
     def test_hand_built_family_instances_are_orders(self):
         family = Family(0, ("a", "b"), (("0", "a", "a+b"), ("0", "0", "b"), ("0", "0", "0")))
         instance = family.instantiate(a=2, b=3)

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -557,3 +558,77 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             )
             outputs.add(done.stdout)
         assert len(outputs) == 1, argv
+
+
+class TestParserReuse:
+    # main builds its parser on the first call in a process and reuses it
+
+    def test_a_filter_does_not_carry_over(self, capsys):
+        assert main(["census", "3"]) == EXIT_OK
+        unfiltered = capsys.readouterr().out
+        assert main(["census", "3", "--filter", "bass"]) == EXIT_OK
+        assert "filters=bass" in capsys.readouterr().out
+        assert main(["census", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "filters=" not in out and "classes selected" not in out
+        assert out == unfiltered
+
+    def test_a_parse_error_does_not_carry_over(self, non_order_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", non_order_file, "--format", "yaml"])
+        assert exit_info.value.code == EXIT_INPUT
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
+        assert main(["check", non_order_file]) == EXIT_NEGATIVE
+        captured = capsys.readouterr()
+        assert captured.out.startswith("order: no\n") and captured.err == ""
+
+    def test_help_twice(self, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == cli.build_parser().format_help()
+
+    def test_each_call_reads_its_own_budget_env(self, tmp_path, capsys, monkeypatch):
+        path = write_level(tmp_path, "big.lvl", "2\n0 0\n3 0\n")
+        monkeypatch.setenv(cli.BUDGET_ENV, "3")
+        assert main(["overorders", path]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: overorder search size 4 exceeds the budget 3\n"
+        monkeypatch.setenv(cli.BUDGET_ENV, "4")
+        assert main(["overorders", path]) == EXIT_OK
+        assert capsys.readouterr().out == "overorders: 10 (search bound 4)\n"
+
+    def test_no_parser_is_built_after_the_first_call(self, sec52_file, capsys, monkeypatch):
+        main(["check", sec52_file])
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: builds.append(2) or init(*a, **k))
+        for _ in range(20):
+            assert main(["check", sec52_file]) == EXIT_OK
+        capsys.readouterr()
+        assert builds == []
+
+    def test_import_builds_no_parser(self, sec52_file):
+        # counts parsers and subparsers; the first main call builds all seven
+        code = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+            "import monorders.cli\n"
+            "print(len(built))\n"
+            "monorders.cli.main(['check', sys.argv[1]])\n"
+            "print(len(built))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(monorders.__file__).resolve().parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", code, sec52_file], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\norder: yes\n7\n", "")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
