@@ -1,15 +1,15 @@
 """Census engine: enumerate, deduplicate and classify orders of a given size.
 
 The raw orders are those with zero first row and zero diagonal whose other
-entries lie in [0, bound].  They are produced by the pruned box search that
-``overorders`` also uses: off-diagonal pairs are assigned one at a time and a
-prefix is dropped as soon as a triangle constraint on it fails, so the
-non-orders of the box are never built.  Raw orders are folded into classes
-by orbit marking: the n! normalized conjugates of a class's first raw order
-give its canonical level and count, and its other raw orders are skipped.
-One representative per class is classified.  Fixing the first row up front is
-harmless (every class has such a representative) and shrinks the box by
-(bound+1)**(n-1).
+entries lie in [0, bound]: every class has such a representative, and fixing
+the first row shrinks the box by (bound+1)**(n-1).  They come from the box
+search that ``overorders`` also uses, which builds each pair's cells from the
+intervals its triangles allow, so no non-order is built.  Raw orders are
+folded into classes by orbit marking: the n! normalized conjugates of a
+class's first raw order (one shift per root, then only permutations) give
+its canonical level and count, and its other raw orders are skipped.  The
+class level, the one member classified, is marked as its own canonical form,
+so classifying it finds none again.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -27,9 +27,9 @@ from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
     _check_search_cap,
-    _conjugates,
     _is_plain_int,
     _order,
+    _orbit_by_root,
     _orders_in_box,
     canonical_form,
 )
@@ -113,10 +113,12 @@ def census(
         if rows in pending:
             pending.remove(rows)
             continue
-        orbit = {level for level, _ in _conjugates(rows, n)}
-        # conjugates are normalized (zero first row, no negative entry): in the box iff max <= bound
-        in_box = {level for level in orbit if max(map(max, level)) <= bound}
-        counts[_order(min(orbit))] = len(in_box)
+        orbit = list(_orbit_by_root(rows, n))
+        # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
+        in_box = set().union(*(members for norm, members in orbit if max(map(max, norm)) <= bound))
+        canonical = _order(min(min(members) for _, members in orbit))
+        object.__setattr__(canonical, "_canonical", True)  # classify reuses it as its own canonical form
+        counts[canonical] = len(in_box)
         pending |= in_box - {rows}
 
     all_classes = []

@@ -43,8 +43,7 @@ def parse_level_text(text: str) -> LevelMatrix:
     rows = []
     for lineno, body in significant[1:]:
         row = []
-        matches = list(_TOKEN.finditer(body))
-        for match in matches:
+        for match in _TOKEN.finditer(body):
             token = match.group()
             if not _is_int(token):
                 raise ParseError(

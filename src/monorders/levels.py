@@ -14,8 +14,8 @@ mark, so a value built from an order is not checked again.
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
 :class:`WeylElement` and computed by one loop, ``_conjugate_rows``, behind
-:func:`conjugate`, the canonical form and the orbit scans; the convention
-used throughout is
+:func:`conjugate`, the canonical form and the census orbits (one shift per
+root, then only permutations); the convention used throughout is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
@@ -25,14 +25,16 @@ normalized permutation conjugate is a canonical representative per
 conjugacy class (:func:`canonical_form`), found by a search that fills
 positions one at a time rather than by scanning all n! permutations.
 
-Values compare, hash and print by their entries; the one write, the order
-mark, is set once, so a race between threads at worst repeats a scan.
+Values compare, hash and print by their entries.  The order mark is the one
+write to a shared level, set once, so a race between threads at worst repeats
+a scan; the census marks a class level canonical before it hands it out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -53,7 +55,7 @@ class LevelMatrix:
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
     level known to be an order carries the private attribute ``_checked``,
-    which is not a dataclass field.
+    and a census class level also ``_canonical``; neither is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -200,61 +202,52 @@ def _order(rows):
 def _orders_in_box(lo, hi):
     """Row tuples of every order m with lo[i][j] <= m[i][j] <= hi[i][j] off the diagonal.
 
-    Pairs {i, j} are assigned one at a time, in the order (0,1), (0,2), (1,2),
-    (0,3), ...; each pair's cell already enforces the two-cycle condition
-    m[i][j] + m[j][i] >= 0, and every triangle constraint is checked as soon
-    as its last pair is assigned, so only viable prefixes are extended.
-    Diagonal entries of the box are ignored (they are zero).  Iterative, so
-    a yield costs the same at any depth.
+    Pairs (i, j), i < j, are set in the order (0,1), (0,2), (1,2), (0,3), ...
+    A triangle through k < i, whose other pairs are set, bounds x = m[i][j] by
+    m[i][k] - m[j][k] <= x, m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j],
+    and y = m[j][i] the same way with i and j swapped; also y >= -x.  Each
+    triangle is met at its last pair, so a pair's cells, in order of x then y,
+    are all viable prefixes.  The diagonal of the box is ignored.  Iterative.
     """
     n = len(lo)
-    if n == 1:
-        yield ((0,),)
-        return
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    cells = [
-        [
-            (x, y)
-            for x in range(lo[i][j], hi[i][j] + 1)
-            for y in range(max(lo[j][i], -x), hi[j][i] + 1)
-        ]
-        for i, j in pairs
-    ]
-    cur = [[0] * n for _ in range(n)]
+    # pairs[0] is a placeholder on the diagonal whose one cell is (0, 0): the first
+    # real pair's cells are then built like any other's, and n = 1 needs no case
+    pairs = [(0, 0)] + [(i, j) for j in range(1, n) for i in range(j)]
     last = len(pairs) - 1
-    stack = [iter(cells[0])]
+    cur = [[0] * n for _ in range(n)]
+    stack = [iter([(0, 0)])]  # stack[d] iterates the cells of pairs[d] left to try
     while stack:
-        idx = len(stack) - 1
-        i, j = pairs[idx]
+        depth = len(stack) - 1
+        p, q = pairs[depth]
+        row_p = cur[p]
+        row_q = cur[q]
+        if depth == last:
+            for row_p[q], row_q[p] in stack.pop():
+                yield tuple(map(tuple, cur))
+            continue
+        i, j = pairs[depth + 1]
         row_i = cur[i]
         row_j = cur[j]
-        for x, y in stack[idx]:
-            row_i[j] = x
-            row_j[i] = y
-            ok = True
-            for k in range(i):
-                row_k = cur[k]
+        for row_p[q], row_q[p] in stack[depth]:
+            x_lo, x_hi, y_lo, y_hi = lo[i][j], hi[i][j], lo[j][i], hi[j][i]
+            # comparisons, not max and min: this loop is the search's hot spot
+            for row_k, cik, cjk in zip(cur, row_i, row_j[:i]):
                 cki = row_k[i]
-                cik = row_i[k]
                 ckj = row_k[j]
-                cjk = row_j[k]
-                if (
-                    x > cik + ckj
-                    or y > cjk + cki
-                    or cik > x + cjk
-                    or cki > ckj + y
-                    or ckj > cki + x
-                    or cjk > y + cik
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if idx == last:
-                yield tuple(tuple(r) for r in cur)
-            else:
-                stack.append(iter(cells[idx + 1]))
-                break
+                if x_lo < cik - cjk:
+                    x_lo = cik - cjk
+                if x_lo < ckj - cki:
+                    x_lo = ckj - cki
+                if x_hi > cik + ckj:
+                    x_hi = cik + ckj
+                if y_lo < cki - ckj:
+                    y_lo = cki - ckj
+                if y_lo < cjk - cik:
+                    y_lo = cjk - cik
+                if y_hi > cjk + cki:
+                    y_hi = cjk + cki
+            stack.append(iter([(x, y) for x in range(x_lo, x_hi + 1) for y in range(max(y_lo, -x), y_hi + 1)]))
+            break
         else:
             stack.pop()
 
@@ -315,12 +308,17 @@ def _check_search_cap(n, search_cap):
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
 
 
-def _conjugates(rows, n):
-    # (normalized permutation conjugate, sigma) for every sigma, in
-    # itertools.permutations order: whole orbits, for census orbit marking,
-    # which checks the cap before it enumerates; the shifts m[sigma^{-1}(0)] zero the first row
-    for sigma in itertools.permutations(range(n)):
-        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
+def _orbit_by_root(rows, n):
+    # per root r, the rows normalized by row r and the set of normalized conjugates
+    # sending r to 0: each permutes those rows, so all of them share their entries
+    if n == 1:
+        yield rows, {rows}
+        return
+    everyone = tuple(range(n))
+    for r in everyone:
+        norm = _conjugate_rows(rows, n, rows[r], everyone)
+        gets = [itemgetter(r, *tail) for tail in itertools.permutations(everyone[:r] + everyone[r + 1:])]
+        yield norm, {tuple(map(get, get(norm))) for get in gets}
 
 
 def _swappable(rows, n, x, y):
@@ -382,6 +380,8 @@ def _canonical_sigma(rows, n):
                     continue
                 rx = rows[x]
                 bx = base[x]
+                if best is not None and rx[prefix[0]] + bx > best[0]:
+                    continue  # the pair sum is the head's first entry
                 head = [rx[a] + bx - base[a] for a in prefix]
                 if best is None or head < best:
                     best = head
@@ -425,10 +425,12 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
     their canonical levels are equal.  Returns the level together with the
     achieving Weyl element of least permutation, found by the search of
     ``_canonical_sigma`` instead of an n! scan.  Sizes above ``search_cap``
-    are refused.
+    are refused.  A census class level comes back as is, with the identity.
     """
     _require_order(m)
     _check_search_cap(m.n, search_cap)
+    if getattr(m, "_canonical", False):
+        return m, WeylElement.identity(m.n)
     sigma = _canonical_sigma(m.entries, m.n)
     w = WeylElement(m.entries[sigma.index(0)], sigma)
     return conjugate(m, w), w

@@ -51,9 +51,6 @@ class OverorderSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, level):
-        return level in self.members
-
 
 def _pair_ranges(m):
     rows = m.entries

@@ -18,7 +18,7 @@ from monorders import (
     overorders,
 )
 from monorders.census import _census_box
-from monorders.levels import _conjugate_rows, _conjugates, _is_upper_triangular_rows, _orders_in_box
+from monorders.levels import _conjugate_rows, _is_upper_triangular_rows, _orders_in_box
 
 
 def min_plus_closure(rows):
@@ -140,6 +140,15 @@ def brute_triangular_form(m: LevelMatrix):
     """Lex-min upper triangular normalized permutation conjugate by the n! sweep."""
     best = min(_brute_triangular_candidates(m), default=None)
     return None if best is None else LevelMatrix(best)
+
+
+def _conjugates(rows, n):
+    """(normalized permutation conjugate, sigma) for every sigma, in itertools.permutations order.
+
+    The brute n! orbit: the shifts m[sigma^{-1}(0)] zero the first row.
+    """
+    for sigma in itertools.permutations(range(n)):
+        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
 
 
 def brute_canonical_form(m: LevelMatrix):

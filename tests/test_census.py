@@ -12,6 +12,7 @@ from monorders import (
     InvalidInputError,
     LevelMatrix,
     bass_oracle,
+    canonical_form,
     census,
     conjugate,
     gorenstein_via_dual,
@@ -24,12 +25,15 @@ from monorders import (
 from monorders.census import _census_box
 from monorders.cli import main
 from monorders.levelio import level_to_text
-from monorders.levels import _orders_in_box
+from monorders.levels import _orbit_by_root, _orders_in_box
 
 from conftest import (
+    _conjugates,
+    brute_canonical_form,
     brute_census_counts,
     brute_match_family,
     brute_triangular_form,
+    random_order,
     random_weyl,
     triangular_box,
 )
@@ -72,14 +76,29 @@ def product_orders(lo, hi):
             yield level.entries
 
 
+def overorder_box(rows):
+    """(lo, hi) = (-m^T, m): the box of the overorders of m, whose lows are negative."""
+    return tuple(tuple(-row[i] for row in rows) for i in range(len(rows))), rows
+
+
 SEC52_ROWS = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0))
+STAIRCASES = {n: tuple(tuple(int(j < i) for j in range(n)) for i in range(n)) for n in (3, 4)}
 
 CENSUS_SIZES = [(n, b) for n in range(1, 5) for b in range(4)] + [(5, 1)]
+# the census sizes of the orbit tests: every class of these is compared with a brute fold
+ORBIT_SIZES = CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)]
 
 BOXES = {
     **{f"census-{n}-{b}": _census_box(n, b) for n, b in CENSUS_SIZES},
     "triangular-4-3": triangular_box(4, 3),
-    "overorders-sec52": (tuple(tuple(-row[i] for row in SEC52_ROWS) for i in range(4)), SEC52_ROWS),
+    "overorders-sec52": overorder_box(SEC52_ROWS),
+    "overorders-staircase4": overorder_box(STAIRCASES[4]),
+    # at n = 2 there is no third index, so the cells alone enforce m[0][1] + m[1][0] >= 0
+    "overorders-2": overorder_box(((0, 2), (1, 0))),
+    **{
+        f"overorders-random3-{seed}": overorder_box(random_order(random.Random(seed), 3, 3).entries)
+        for seed in range(4)
+    },
 }
 
 
@@ -89,12 +108,38 @@ def test_box_search_matches_product_filter(name):
     assert sorted(_orders_in_box(lo, hi)) == list(product_orders(lo, hi))
 
 
-@pytest.mark.parametrize("n,bound", CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)])
-def test_orbit_marking_matches_canonical_fold(n, bound):
-    result = census(CensusQuery(n, bound))
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_orbit_marking_matches_canonical_fold(n, bound, census_result):
+    result = census_result(n, bound)
     assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
     triangular = sum(brute_triangular_form(c.canonical) is not None for c in result.classes)
     assert result.totals["upper_triangular"] == triangular
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_class_levels_are_their_own_canonical_form(n, bound, census_result):
+    # a class level is marked as its own canonical form, and canonical_form
+    # returns it as is: the same level and witness as the search on an unmarked copy
+    for cls in census_result(n, bound).classes:
+        fast = canonical_form(cls.canonical)
+        assert fast[0] is cls.canonical and cls.report.canonical is cls.canonical
+        assert fast == canonical_form(LevelMatrix(cls.canonical.entries)) == brute_canonical_form(cls.canonical)
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_orbits_by_root_match_the_permutation_sweep(n, bound):
+    # per root r, one shift and then permutations give the conjugates of the brute
+    # sweep whose sigma sends r to 0, and they share the entries of the shifted
+    # rows, so one max test per root finds the in-box conjugates of the sweep
+    for rows in _orders_in_box(*_census_box(n, bound)):
+        sweep = list(_conjugates(rows, n))
+        by_root = list(_orbit_by_root(rows, n))
+        assert len(by_root) == n
+        for r, (norm, members) in enumerate(by_root):
+            assert members == {level for level, sigma in sweep if sigma[r] == 0}
+            assert {tuple(sorted(sum(m, ()))) for m in members} == {tuple(sorted(sum(norm, ())))}
+        in_box = {level for level, _ in sweep if max(map(max, level)) <= bound}
+        assert set().union(*(members for norm, members in by_root if max(map(max, norm)) <= bound)) == in_box
 
 
 def test_one_triangular_search_per_class(monkeypatch):
@@ -113,7 +158,6 @@ def test_one_triangular_search_per_class(monkeypatch):
     assert len(calls) == result.totals["classes"]
 
 
-STAIRCASES = {n: tuple(tuple(int(j < i) for j in range(n)) for i in range(n)) for n in (3, 4)}
 SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52": SEC52_ROWS}
 
 # each query, as the arguments of cli.main (a SCAN_LEVELS name stands for its

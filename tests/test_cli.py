@@ -445,13 +445,13 @@ class TestCensus:
         census_module = importlib.import_module("monorders.census")
         calls = []
         for module in (census_module, importlib.import_module("monorders.levels")):
-            conjugates = module._conjugates
+            orbit_by_root = module._orbit_by_root
 
-            def counting(*args, conjugates=conjugates):
+            def counting(*args, orbit_by_root=orbit_by_root):
                 calls.append(args)
-                return conjugates(*args)
+                return orbit_by_root(*args)
 
-            monkeypatch.setattr(module, "_conjugates", counting)
+            monkeypatch.setattr(module, "_orbit_by_root", counting)
         matched = []
         monkeypatch.setattr(cli, "match_family", lambda level: matched.append(level))
         main(["census", "4", "--bound", "2", "--format", "json"])

@@ -14,6 +14,7 @@ from monorders import (
     WeylElement,
     bass_oracle,
     canonical_form,
+    census,
     classify_eichler,
     compose,
     conjugate,
@@ -27,6 +28,8 @@ from monorders import (
     triangular_form,
 )
 
+from monorders.levels import _order
+
 from conftest import brute_canonical_form, enumerate_orders, random_order, random_weyl
 
 
@@ -37,6 +40,16 @@ def M(rows):
 def _marked(m):
     # the private order mark, an attribute outside the dataclass fields
     return getattr(m, "_checked", False)
+
+
+def _marked_canonical(m):
+    # the census's private mark of a class level as its own canonical form
+    return getattr(m, "_canonical", False)
+
+
+def _census_class_level():
+    # a class level as the census hands it out, with both marks
+    return census(CensusQuery(3, 2)).classes[-1].canonical
 
 
 class TestLevelMatrix:
@@ -85,6 +98,15 @@ class TestLevelMatrix:
         assert [f.name for f in dataclasses.fields(LevelMatrix)] == ["entries"]
         assert dataclasses.asdict(marked) == dataclasses.asdict(fresh) == {"entries": ((0, 1), (0, 0))}
         assert dataclasses.astuple(marked) == dataclasses.astuple(fresh)
+        # nor does the census's canonical mark
+        canonical = _census_class_level()
+        fresh = M(canonical.to_lists())
+        assert _marked_canonical(canonical) and not _marked_canonical(fresh)
+        assert canonical == fresh and hash(canonical) == hash(fresh)
+        assert len({canonical, fresh}) == 1
+        assert repr(canonical) == repr(fresh) == f"LevelMatrix(entries={canonical.entries!r})"
+        assert dataclasses.asdict(canonical) == dataclasses.asdict(fresh) == {"entries": canonical.entries}
+        assert dataclasses.astuple(canonical) == dataclasses.astuple(fresh)
 
 
 class TestIsOrder:
@@ -127,6 +149,20 @@ class TestIsOrder:
         assert _marked(canonical_form(m)[0]) and _marked(normalize_positive(m).level)
         assert _marked(triangular_form(m))
         assert all(_marked(member) for member in overorders(m))
+
+    def test_values_built_from_a_canonical_level_are_not_marked_canonical(self):
+        # only the census sets the canonical mark, on the class levels it builds
+        canonical = _census_class_level()
+        built = [
+            conjugate(canonical, WeylElement((1, 0, 2), (1, 2, 0))),
+            conjugate(canonical, WeylElement.identity(3)),
+            normalize_positive(canonical).level,
+            _order(canonical.entries),
+        ]
+        assert all(_marked(level) and not _marked_canonical(level) for level in built)
+        # canonical_form returns a marked level as is, and computes the others
+        assert canonical_form(canonical)[0] is canonical
+        assert canonical_form(built[0]) == (canonical, brute_canonical_form(built[0])[1])
 
 
 NON_ORDERS = {
@@ -233,8 +269,8 @@ class TestConjugate:
             conjugate(M([[0]]), WeylElement.identity(2))
 
     def test_matches_its_formula_entrywise(self):
-        # canonical_form, the census orbits and the brute-force oracles all
-        # build conjugates with one kernel, so no differential test sees it
+        # canonical_form, the census orbits (one shift per root) and the brute-force
+        # oracles all build conjugates with one kernel, so no differential test sees it
         rng = random.Random(7)
         for _ in range(300):
             n = rng.randint(1, 8)
