@@ -24,7 +24,6 @@ from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
     _is_plain_int,
-    _is_upper_triangular_rows,
     _order,
     _require_order,
     canonical_form,
@@ -110,17 +109,18 @@ def _triangular_rows(rows, n):
     # (i, j) becomes m[i][j] + m[r][i] - m[r][j] >= 0, which is zero iff
     # i <= j in the preorder "m[r][i] + m[i][j] == m[r][j]" (transitive by the
     # triangle condition).  So a root admits a triangular conjugate iff that
-    # preorder is total, and sorting by the count of k <= i produces it.  Tied
-    # indices have equal normalized rows and columns, so each root yields one
-    # candidate; O(n^3) over all roots.
+    # preorder is total, and then sorting by row sum gives it: i < j strictly
+    # makes norm[i][k] <= norm[i][j] + norm[j][k] = norm[j][k] for every k and
+    # norm[i][i] = 0 < norm[j][i], so row i sums to less than row j.  Tied
+    # indices have equal rows and columns, so each root yields one candidate.
     best = None
     for base in rows:
         norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
         if any(norm[i][j] and norm[j][i] for i in range(n) for j in range(i)):
             continue  # i and j incomparable: the preorder is not total
-        order = sorted(range(n), key=lambda i: sum(norm[k][i] == 0 for k in range(n)))
+        order = sorted(range(n), key=lambda i: sum(norm[i]))
         candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
-        if _is_upper_triangular_rows(candidate, n) and (best is None or candidate < best):
+        if best is None or candidate < best:
             best = candidate
     return best
 

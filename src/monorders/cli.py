@@ -171,11 +171,10 @@ def cmd_check(args) -> int:
             "violation": list(witness) if isinstance(witness, tuple) else witness,
         }
         print(json.dumps(payload))
-    elif witness is None:
-        print("order: yes")
     else:
-        print("order: no")
-        print("violation: " + _violation_text(witness))
+        print(f"order: {_yesno(witness is None)}")
+        if witness is not None:
+            print("violation: " + _violation_text(witness))
     return EXIT_OK if witness is None else EXIT_NEGATIVE
 
 

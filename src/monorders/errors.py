@@ -13,23 +13,23 @@ class DimensionMismatch(MonordersError):
     """Objects that must share a size n do not."""
 
 
-class NotAnOrderError(MonordersError):
+class _WitnessError(MonordersError):
+    """An input fails a condition; ``witness`` is where it fails."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotAnOrderError(_WitnessError):
     """A level matrix violates the order condition where an order is required.
 
     The message reads ``input level is not an order (...)``; ``witness`` is ``order_violation(m)``.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotALatticeError(MonordersError):
-    """A column type is not a lattice over the given order."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotALatticeError(_WitnessError):
+    """A column type is not a lattice over the given order; ``witness`` is ``lattice_violation``."""
 
 
 class NotPositiveTypeError(MonordersError):

@@ -438,13 +438,8 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
 
 def is_upper_triangular(m: LevelMatrix) -> bool:
     """True iff m[i][j] = 0 whenever i <= j (strict lower triangular values only)."""
-    return _is_upper_triangular_rows(m.entries, m.n)
-
-
-def _is_upper_triangular_rows(rows, n):
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i, n):
-            if ri[j] != 0:
+    for i, row in enumerate(m.entries):
+        for j in range(i, m.n):
+            if row[j] != 0:
                 return False
     return True

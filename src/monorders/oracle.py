@@ -11,6 +11,7 @@ the overorders nearest-first, and stops at the first non-Gorenstein one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .errors import BudgetExceededError
@@ -21,6 +22,11 @@ from .levels import LevelMatrix, _order, _orders_in_box, _require_order
 DEFAULT_BUDGET = 10**7
 
 
+@cache
+def _printable_cap(digits):
+    return 10**digits - 1  # once per digit limit (640 <= L <= 4,300), not per budget check
+
+
 def _check_budget(what, powers, budget):
     """Raise BudgetExceededError when the product of base**exp over ``powers`` exceeds budget.
 
@@ -28,7 +34,7 @@ def _check_budget(what, powers, budget):
     too long to print; a power whose bit length alone shows that is not built.
     """
     digits = _digit_limit()
-    cap = max(budget, 10**digits - 1)
+    cap = max(budget, _printable_cap(digits))
     size = 1
     for base, exp in powers:
         size = size * base**exp if exp * (base.bit_length() - 1) <= cap.bit_length() else cap + 1
@@ -94,13 +100,11 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     the members come marked as orders, so only the base is scanned.  Refuses
     as ``overorders`` does: the order check of ``is_gorenstein``, then the budget.
     """
-    gorenstein = is_gorenstein(m)
-    _check_overorder_budget(m, budget)
-    if not gorenstein:
+    if not is_gorenstein(m):
+        _check_overorder_budget(m, budget)
         return False, m
-    total = sum(map(sum, m.entries))
-    # a stable sort: members come sorted by entries, which breaks the ties
-    for member in sorted(overorders(m, budget), key=lambda level: total - sum(map(sum, level.entries))):
+    # nearest first: the largest entry sum; the sort is stable, so ties keep the entry order
+    for member in sorted(overorders(m, budget), key=lambda level: -sum(map(sum, level.entries))):
         if not is_gorenstein(member):
             return False, member
     return True, None

@@ -18,7 +18,7 @@ from monorders import (
     overorders,
 )
 from monorders.census import _census_box
-from monorders.levels import _conjugate_rows, _is_upper_triangular_rows, _orders_in_box
+from monorders.levels import _conjugate_rows, _orders_in_box
 
 
 def min_plus_closure(rows):
@@ -86,11 +86,19 @@ def enumerate_triangular_orders(n: int, bound: int):
     return _sorted_orders(triangular_box(n, bound))
 
 
+def _conjugates(rows, n):
+    """(normalized permutation conjugate, sigma) for every sigma, in itertools.permutations order.
+
+    The brute n! orbit: the shifts m[sigma^{-1}(0)] zero the first row.
+    """
+    for sigma in itertools.permutations(range(n)):
+        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
+
+
 def _brute_triangular_candidates(m: LevelMatrix):
-    # every upper triangular normalized permutation conjugate, one per n! scan step
-    for sigma in itertools.permutations(range(m.n)):
-        candidate = _conjugate_rows(m.entries, m.n, m.entries[sigma.index(0)], sigma)
-        if _is_upper_triangular_rows(candidate, m.n):
+    # every upper triangular normalized permutation conjugate, in n! orbit order
+    for candidate, _ in _conjugates(m.entries, m.n):
+        if not any(any(row[i:]) for i, row in enumerate(candidate)):
             yield candidate
 
 
@@ -124,31 +132,25 @@ def brute_staircase_shape(rows, n):
     return EichlerShape(len(blocks), tuple(blocks), a)
 
 
-def brute_classify_eichler(m: LevelMatrix):
-    """Eichler shape by the n! sweep: the shape of the lex-min staircase conjugate."""
-    best_level = None
-    best_shape = None
-    for candidate in _brute_triangular_candidates(m):
-        shape = brute_staircase_shape(candidate, m.n)
-        if shape is not None and (best_level is None or candidate < best_level):
-            best_level = candidate
-            best_shape = shape
-    return None if best_shape is None else best_shape.canonical()
+def brute_triangular_verdicts(m: LevelMatrix):
+    """(triangular form, Eichler shape) of m from one n! sweep.
 
-
-def brute_triangular_form(m: LevelMatrix):
-    """Lex-min upper triangular normalized permutation conjugate by the n! sweep."""
-    best = min(_brute_triangular_candidates(m), default=None)
-    return None if best is None else LevelMatrix(best)
-
-
-def _conjugates(rows, n):
-    """(normalized permutation conjugate, sigma) for every sigma, in itertools.permutations order.
-
-    The brute n! orbit: the shifts m[sigma^{-1}(0)] zero the first row.
+    The form is the lex-min upper triangular normalized permutation conjugate,
+    the shape that of the lex-min staircase conjugate, in canonical rotation;
+    either is None when there is none.  Every candidate goes through
+    ``brute_staircase_shape``, so its assertions run on each.
     """
-    for sigma in itertools.permutations(range(n)):
-        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
+    form = staircase = shape = None
+    for candidate in _brute_triangular_candidates(m):
+        candidate_shape = brute_staircase_shape(candidate, m.n)
+        if form is None or candidate < form:
+            form = candidate
+        if candidate_shape is not None and (staircase is None or candidate < staircase):
+            staircase, shape = candidate, candidate_shape
+    return (
+        None if form is None else LevelMatrix(form),
+        None if shape is None else shape.canonical(),
+    )
 
 
 def brute_canonical_form(m: LevelMatrix):

@@ -32,7 +32,7 @@ from conftest import (
     brute_canonical_form,
     brute_census_counts,
     brute_match_family,
-    brute_triangular_form,
+    brute_triangular_verdicts,
     random_order,
     random_weyl,
     triangular_box,
@@ -112,7 +112,7 @@ def test_box_search_matches_product_filter(name):
 def test_orbit_marking_matches_canonical_fold(n, bound, census_result):
     result = census_result(n, bound)
     assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
-    triangular = sum(brute_triangular_form(c.canonical) is not None for c in result.classes)
+    triangular = sum(brute_triangular_verdicts(c.canonical)[0] is not None for c in result.classes)
     assert result.totals["upper_triangular"] == triangular
 
 

@@ -23,14 +23,14 @@ from monorders import (
     is_gorenstein,
     is_hereditary,
     is_order,
+    is_upper_triangular,
     triangular_form,
     truncate,
 )
-from monorders.classify import _staircase_shape
+from monorders.classify import _staircase_shape, _triangular_rows
 from conftest import (
-    brute_classify_eichler,
     brute_staircase_shape,
-    brute_triangular_form,
+    brute_triangular_verdicts,
     enumerate_orders,
     enumerate_triangular_orders,
     min_plus_closure,
@@ -108,13 +108,13 @@ class TestClassifyEichler:
         # conjugation invariants, so every triangular conjugate must agree
         import itertools
 
-        from monorders.levels import _conjugate_rows, _is_upper_triangular_rows
+        from monorders.levels import _conjugate_rows
 
         for m in enumerate_triangular_orders(4, 2):
             shapes = set()
             for sigma in itertools.permutations(range(4)):
                 rows = _conjugate_rows(m.entries, 4, m.entries[sigma.index(0)], sigma)
-                if _is_upper_triangular_rows(rows, 4):
+                if is_upper_triangular(LevelMatrix(rows)):
                     # a triangular input is read as is, lex-min form or not
                     assert classify_eichler(LevelMatrix(rows)) == classify_eichler(m)
                     shape = _staircase_shape(rows, 4)
@@ -313,14 +313,52 @@ def test_triangular_verdicts_match_permutation_sweep(name):
     else:
         pairs = [(m, m) for m in _random_cases(n, k)]
     for m, disguised in pairs:
-        shape = brute_classify_eichler(m)
-        form = brute_triangular_form(m)
+        form, shape = brute_triangular_verdicts(m)
         for level in {m, disguised}:
             assert classify_eichler(level) == shape, level
             assert triangular_form(level) == form, level
             report = classify(level)
             assert report.triangular == form, level
             assert report.eichler == shape, level
+
+
+def _down_set_rows(rows, n):
+    # _triangular_rows sorting each admissible root by the size of the down-set
+    # of i (the count of k <= i in the root's preorder), and checking on every
+    # such root that the row-sum order is the same and the candidate is upper
+    # triangular, as the comment of _triangular_rows argues
+    best = None
+    for base in rows:
+        norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
+        if any(norm[i][j] and norm[j][i] for i in range(n) for j in range(i)):
+            continue
+        order = sorted(range(n), key=lambda i: sum(norm[k][i] == 0 for k in range(n)))
+        assert sorted(range(n), key=lambda i: sum(norm[i])) == order, rows
+        candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
+        assert is_upper_triangular(LevelMatrix(candidate)), rows
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+TRIANGULAR_CENSUS_BOXES = [VERDICT_CASES[name] for name in sorted(VERDICT_CASES) if name.startswith("census")]
+
+
+@pytest.mark.parametrize("n,bound", TRIANGULAR_CENSUS_BOXES)
+def test_row_sums_order_every_census_root_by_its_down_set(n, bound, census_result):
+    levels = enumerate_orders(n, bound) + [c.canonical for c in census_result(n, bound).classes]
+    rng = random.Random(n * 100 + bound)
+    for m in levels + [conjugate(m, random_weyl(rng, n)) for m in levels[::7]]:
+        assert _triangular_rows(m.entries, n) == _down_set_rows(m.entries, n), m
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_sums_order_every_closure_root_by_its_down_set(n):
+    rng = random.Random(2000 + n)
+    for k in range(60):
+        m = _disguised_eichler_order(rng, n) if k % 2 else random_order(rng, n, 3)
+        for level in (m, conjugate(m, random_weyl(rng, n))):
+            assert _triangular_rows(level.entries, n) == _down_set_rows(level.entries, n), level
 
 
 @pytest.mark.parametrize("n", range(1, 7))

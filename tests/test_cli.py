@@ -499,6 +499,26 @@ class TestHugeSearchSizes:
         assert captured.out == ""
         assert captured.err == f"error: {what} of more than 4300 digits exceeds the budget 10000000\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_a_digit_limit_lowered_at_run_time_applies(self, capsys, monkeypatch):
+        # the printable cap is cached per digit limit L: after a refusal at
+        # L = 4,300, a 1,522-digit raw space must still be refused unprinted at L = 700
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert main(["census", "200", "--bound", "1"]) == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                "error: census raw space of more than 4300 digits exceeds the budget 10000000\n"
+            )
+            sys.set_int_max_str_digits(700)
+            assert main(["census", "40", "--bound", "9"]) == EXIT_INPUT
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err == (
+            "error: census raw space of more than 700 digits exceeds the budget 10000000\n"
+        )
+
     def test_printable_sizes_are_still_printed(self, capsys):
         assert main(["census", "4", "--bound", "3", "--budget", "100"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: census raw space 262144 exceeds the budget 100\n"

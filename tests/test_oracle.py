@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from monorders import (
     overorder_bound,
     overorders,
 )
+from monorders import cli, oracle as oracle_module
+from monorders.cli import EXIT_INPUT, EXIT_OK, main
 from conftest import brute_bass_oracle, enumerate_orders, random_weyl
 
 
@@ -129,6 +132,46 @@ class TestBassOracle:
         with pytest.raises(BudgetExceededError) as info:
             bass_oracle(m, budget=10)
         assert info.value.bound == overorder_bound(m)
+
+
+def test_one_budget_check_per_query(monkeypatch, tmp_path, capsys):
+    # the overorder budget is checked once per query: before bass_oracle
+    # returns a non-Gorenstein base, and inside overorders for a Gorenstein
+    # one; a non-order is still refused before the budget, and a Gorenstein
+    # base over budget still with the size and the budget
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    calls = []
+    guard = oracle_module._check_overorder_budget
+
+    def counting(m, budget):
+        calls.append(m)
+        guard(m, budget)
+
+    monkeypatch.setattr(oracle_module, "_check_overorder_budget", counting)
+    non_gorenstein = M([[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+    for base in (SEC52, M([[0, 0], [2, 0]]), non_gorenstein):
+        calls.clear()
+        bass_oracle(base)
+        assert calls == [base]
+    assert is_gorenstein(SEC52) and not is_gorenstein(non_gorenstein)
+    path = tmp_path / "sec52.json"
+    path.write_text(json.dumps({"n": 4, "m": SEC52.to_lists()}))
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert main(["classify", str(path), "--oracle", "--format", fmt]) == EXIT_OK
+        assert calls == [SEC52]
+    capsys.readouterr()
+
+    calls.clear()
+    with pytest.raises(NotAnOrderError):
+        bass_oracle(M([[0, 0, 0], [0, 0, 0], [1, 0, 0]]), budget=1)
+    assert calls == []
+    size = overorder_bound(SEC52)
+    message = f"overorder search size {size} exceeds the budget {size - 1}"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        bass_oracle(SEC52, budget=size - 1)
+    assert main(["classify", str(path), "--oracle", "--budget", str(size - 1)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _period_two(sizes, a):
