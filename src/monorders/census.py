@@ -126,10 +126,9 @@ def census(
         report = classify(canonical, search_cap)
         all_classes.append(CensusClass(canonical, report, counts[canonical]))
 
-    passed = [frozenset(name for name, test in FILTERS.items() if test(c)) for c in all_classes]
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
-    totals.update({name: sum(name in p for p in passed) for name in FILTERS})
-    selected = tuple(c for c, p in zip(all_classes, passed) if query.filters <= p)
+    totals.update({name: sum(map(test, all_classes)) for name, test in FILTERS.items()})
+    selected = tuple(c for c in all_classes if all(FILTERS[name](c) for name in query.filters))
     return CensusResult(query, selected, totals)
 
 

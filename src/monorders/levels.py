@@ -8,8 +8,8 @@ m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
 An order is checked where it enters: a public function that needs one raises
 ``NotAnOrderError`` through ``_require_order``, worded as the command line
-prints it.  A level that passes, or is built as an order, keeps a private
-mark, so a value built from an order is not checked again.
+prints it.  ``order_violation`` marks each level it passes and ``_order`` each
+level it builds; ``is_order`` and ``_require_order`` skip a marked level.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -167,7 +167,7 @@ def order_violation(m: LevelMatrix):
 
     Returns a 1-based diagonal index i when m[i][i] != 0, else the first
     1-based triple (i, j, k) with m[i][k] > m[i][j] + m[j][k] in row-major
-    scan order, else None.
+    scan order, else None, and then marks m as an order.
     """
     rows = m.entries
     n = m.n
@@ -182,14 +182,13 @@ def order_violation(m: LevelMatrix):
             for k in range(n):
                 if ri[k] > mij + rj[k]:
                     return (i + 1, j + 1, k + 1)
+    object.__setattr__(m, "_checked", True)
     return None
 
 
 def is_order(m: LevelMatrix) -> bool:
     """True iff the diagonal vanishes and the triangle condition holds."""
-    if not getattr(m, "_checked", False) and order_violation(m) is None:
-        object.__setattr__(m, "_checked", True)
-    return getattr(m, "_checked", False)
+    return getattr(m, "_checked", False) or order_violation(m) is None
 
 
 def _order(rows):
@@ -264,7 +263,6 @@ def _require_order(m):
         witness = order_violation(m)
         if witness is not None:
             raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
-        object.__setattr__(m, "_checked", True)
 
 
 def _conjugate_rows(rows, n, shifts, perm):
@@ -362,14 +360,12 @@ def _canonical_sigma(rows, n):
     leaves to one.  The classes are built only when a depth keeps more than
     one node.
     """
-    if n == 1:
-        return (0,)
     everyone = tuple(range(n))
     # one node per root a_0; with no keys yet every other index is a
     # candidate, and its head is its pair sum with a_0
     nodes = [((r,), everyone[:r] + everyone[r + 1:], ((),) * (n - 1)) for r in everyone]
     lesser = None
-    while True:
+    while nodes[0][1]:  # an index is left to place
         low = min(nodes[0][2])
         best = None
         candidates = []
@@ -409,8 +405,8 @@ def _canonical_sigma(rows, n):
             if lesser is None:
                 lesser = [frozenset(y for y in range(x) if _swappable(rows, n, x, y)) for x in everyone]
             nodes = [node for node in nodes if _respects_classes(node[0], lesser)]
-        if not best or (len(nodes) == 1 and len(set(best)) == len(best)):
-            break  # every node placed, or one node whose keys fix the rest
+        if len(nodes) == 1 and len(set(best)) == len(best):
+            break  # one node whose keys fix the rest
     # order[p] is the index at position p; sigma is its inverse
     orders = [prefix + tuple(z for _, z in sorted(zip(keys, rest))) for prefix, rest, keys in nodes]
     return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)

@@ -22,7 +22,7 @@ from monorders import (
     match_family,
     order_violation,
 )
-from monorders.census import _census_box
+from monorders.census import FILTERS, _census_box
 from monorders.cli import main
 from monorders.levelio import level_to_text
 from monorders.levels import _orbit_by_root, _orders_in_box
@@ -140,6 +140,31 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
             assert {tuple(sorted(sum(m, ()))) for m in members} == {tuple(sorted(sum(norm, ())))}
         in_box = {level for level, _ in sweep if max(map(max, level)) <= bound}
         assert set().union(*(members for norm, members in by_root if max(map(max, norm)) <= bound)) == in_box
+
+
+# each census filter read off a class report, as the report's own fields say it
+REPORT_VERDICTS = {
+    "gorenstein": lambda report: report.is_gorenstein,
+    "eichler": lambda report: report.eichler is not None,
+    "hereditary": lambda report: report.is_hereditary,
+    "bass": lambda report: report.is_bass,
+    "upper_triangular": lambda report: report.triangular is not None,
+}
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_totals_and_selections_match_the_class_reports(n, bound, census_result):
+    # every total counts the classes whose report holds, and a selection of one
+    # or two filters keeps the classes whose report holds for all of them
+    result = census_result(n, bound)
+    verdicts = [{name for name, holds in REPORT_VERDICTS.items() if holds(c.report)} for c in result.classes]
+    assert set(REPORT_VERDICTS) == set(FILTERS)
+    for name in FILTERS:
+        assert result.totals[name] == sum(name in passed for passed in verdicts)
+    for size in (1, 2):
+        for names in itertools.combinations(sorted(FILTERS), size):
+            selected = census(CensusQuery(n, bound, names)).classes
+            assert selected == tuple(c for c, passed in zip(result.classes, verdicts) if passed >= set(names))
 
 
 def test_one_triangular_search_per_class(monkeypatch):

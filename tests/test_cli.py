@@ -180,6 +180,19 @@ class TestProjective:
         assert payload["is_projective"] is True
         assert payload["normalized_level"] == [[0, 0], [1, 0]]
 
+    def test_negative_exponents_are_given_with_an_equals_sign(self, tmp_path, capsys):
+        # argparse reads a separate value that starts with "-" as an option, so
+        # `--type -1,2,0` is a usage error and `--type=-1,2,0` the way to pass it
+        path = write_level(tmp_path, "p.lvl", "3\n0 0 0\n3 0 3\n1 1 0\n")
+        assert main(["projective", path, "--type=-1,2,0"]) == EXIT_OK
+        assert capsys.readouterr() == ("lattice: yes\nprojective: yes (column 1, shift c=-1)\n", "")
+        assert main(["projective", path, "--type=-1,2,0", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["witness"] == [1, -1]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["projective", path, "--type", "-1,2,0"])
+        assert exit_info.value.code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_bad_vector(self, tmp_path, capsys):
         path = write_level(tmp_path, "h.lvl", "2\n0 0\n1 0\n")
         assert main(["projective", path, "--type", "0,1,2"]) == EXIT_INPUT
@@ -419,6 +432,23 @@ class TestCensus:
         for index in range(1, 8):
             assert f"family {index}" in out
         assert "UNMATCHED" not in out
+
+    def test_an_unmatched_gorenstein_class_is_printed(self, capsys, monkeypatch):
+        # every Gorenstein class of the table matches a family, so a match
+        # that fails on one class is what shows the unmatched line
+        match_family = cli.match_family
+        classes = monorders.census(monorders.CensusQuery(4, 1)).classes
+        first = next(c.canonical for c in classes if c.report.is_gorenstein)
+        monkeypatch.setattr(cli, "match_family", lambda level: None if level == first else match_family(level))
+        assert main(["census", "4", "--bound", "1", "--families"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  {cli.format_level_compact(first)} -> UNMATCHED" in lines
+        assert sum(line.endswith("-> UNMATCHED") for line in lines) == 1
+        assert "  [0 0 0 0; 1 0 0 0; 1 1 0 0; 1 1 1 0] -> family 5 (a=1)" in lines
+        assert main(["census", "4", "--bound", "1", "--families", "--format", "json"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        unmatched = [line for line in lines if json.loads(line)["report"]["is_gorenstein"] and '"family": null' in line]
+        assert [json.loads(line)["canonical"] for line in unmatched] == [first.to_lists()]
 
     def test_families_requires_size_four(self, capsys):
         assert main(["census", "3", "--families"]) == EXIT_INPUT

@@ -141,6 +141,31 @@ class TestIsOrder:
             is_gorenstein(moved)
         assert info.value.witness == order_violation(moved) is not None
 
+    def test_the_order_scan_marks_a_level_it_passes_and_no_other(self):
+        # order_violation sets the mark and is_order only reads it, so a level
+        # that is_order passes is marked only through the scan
+        rng = random.Random(18)
+        for n in range(1, 6):
+            for _ in range(8):
+                m = random_order(rng, n, 3)
+                copy = M(m.entries)
+                assert not _marked(m) and not _marked(copy)
+                assert order_violation(m) is None and _marked(m)
+                assert is_order(copy) and _marked(copy)
+                rows = m.to_lists()
+                rows[-1][-1] = 1
+                non_orders = [M(rows)]
+                if n > 1:
+                    rows = m.to_lists()
+                    rows[0][1] = -rows[1][0] - 1  # m[1][1] > m[1][2] + m[2][1]
+                    non_orders.append(M(rows))
+                for bad in non_orders:
+                    for _ in range(2):
+                        assert order_violation(bad) is not None and not is_order(bad)
+                        with pytest.raises(NotAnOrderError):
+                            normalize_positive(bad)
+                    assert not _marked(bad)
+
     def test_values_built_from_an_order_are_marked(self):
         m = M([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
         assert not _marked(conjugate(m, WeylElement((1, 0, 2), (1, 2, 0))))

@@ -69,6 +69,24 @@ def test_console_script_entry_exit_codes(text, code, tmp_path, monkeypatch, caps
     capsys.readouterr()
 
 
+def test_readme_library_example_gives_the_answers_it_states():
+    # the ```python block of the "Library" section, run as it stands
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert (names["report"].is_gorenstein, names["report"].is_bass) == (True, False)
+    assert len(names["result"].classes) == 11
+    assert names["verdict"] is False
+    assert not monorders.is_gorenstein(names["witness"])
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["version"] == monorders.__version__
+
+
 def test_pyproject_names_the_entry_point_and_ships_the_family_table():
     # read offline, since checking the metadata by building a wheel needs a build backend
     tomllib = pytest.importorskip("tomllib")
