@@ -19,7 +19,8 @@ from .errors import MonordersError, NotALatticeError
 from .census import FILTERS, CensusQuery, census, match_family
 from .classify import classify
 from .duality import dual_level, projective_witness
-from .levelio import _is_int, _parse_int, load_level
+from .families import load_families
+from .levelio import _INT, _parse_int, load_level
 from .levels import (
     DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
     is_order, normalize_positive, order_violation,
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--type",
         required=True,
         dest="type_vector",
-        help="comma- or space-separated integer exponents, e.g. '0,1,2,2'",
+        help="comma- or space-separated integer exponents, e.g. '0,1,2,2'; attach a vector "
+        "that starts with a negative exponent with '=', as in --type=-1,2,0",
     )
     _add_format(p_proj)
     p_proj.set_defaults(func=cmd_projective)
@@ -156,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="match Gorenstein classes against the 4x4 family table (n=4 only)",
     )
     p_census.add_argument("--budget", type=_positive_int, default=None, help="raw-space budget")
-    p_census.add_argument("--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP)
+    p_census.add_argument(
+        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default 8)"
+    )
     p_census.set_defaults(func=cmd_census)
 
     return parser
@@ -168,7 +172,7 @@ def cmd_check(args) -> int:
     if args.format == "json":
         payload = {
             "is_order": witness is None,
-            "violation": list(witness) if isinstance(witness, tuple) else witness,
+            "violation": witness,
         }
         print(json.dumps(payload))
     else:
@@ -176,15 +180,6 @@ def cmd_check(args) -> int:
         if witness is not None:
             print("violation: " + _violation_text(witness))
     return EXIT_OK if witness is None else EXIT_NEGATIVE
-
-
-def _oracle_section(answer, report):
-    verdict, witness = answer
-    return {
-        "is_bass": verdict,
-        "agrees": verdict == report.is_bass,
-        "witness": None if witness is None else witness.to_lists(),
-    }
 
 
 def cmd_classify(args) -> int:
@@ -196,7 +191,14 @@ def cmd_classify(args) -> int:
         _check_search_cap(level.n, args.cap)
         answer = bass_oracle(level, budget)
     report = classify(level, args.cap)
-    oracle = None if answer is None else _oracle_section(answer, report)
+    oracle = None
+    if answer is not None:
+        verdict, witness = answer
+        oracle = {
+            "is_bass": verdict,
+            "agrees": verdict == report.is_bass,
+            "witness": None if witness is None else witness.to_lists(),
+        }
 
     if args.format == "json":
         payload = report.to_dict()
@@ -264,7 +266,7 @@ def cmd_dual(args) -> int:
 
 def _parse_type_vector(raw, n):
     tokens = raw.replace(",", " ").split()
-    if not all(map(_is_int, tokens)):
+    if not all(map(_INT.fullmatch, tokens)):
         raise MonordersError(f"type vector must be integers, got {raw!r}")
     values = tuple(map(_parse_int, tokens))
     if len(values) != n:
@@ -287,7 +289,7 @@ def cmd_projective(args) -> int:
             print(json.dumps({
                 "is_lattice": False,
                 "is_projective": False,
-                "lattice_violation": list(exc.witness),
+                "lattice_violation": exc.witness,
             }))
         else:
             i, j = exc.witness
@@ -298,9 +300,9 @@ def cmd_projective(args) -> int:
         payload = {
             "is_lattice": True,
             "is_projective": witness is not None,
-            "witness": None if witness is None else list(witness),
+            "witness": witness,
             "normalized_level": normalized.to_lists(),
-            "normalized_type": list(adjusted),
+            "normalized_type": adjusted,
         }
         print(json.dumps(payload))
     else:
@@ -315,7 +317,7 @@ def cmd_projective(args) -> int:
 
 def cmd_overorders(args) -> int:
     level = load_level(args.file)
-    _require_order(level)
+    _require_order(level)  # overorders checks it too, but a non-order goes before a bad budget
     result = overorders(level, _budget(args.budget))
     if args.format == "json":
         payload = {"count": len(result), "bound": overorder_bound(level)}
@@ -331,11 +333,12 @@ def cmd_overorders(args) -> int:
 
 
 def cmd_census(args) -> int:
-    filters = frozenset(args.filter or ())
     if args.families and args.n != 4:
         raise MonordersError("--families requires n=4")
+    if args.families:
+        load_families()  # a missing table is refused before any output
     budget = _budget(args.budget)
-    query = CensusQuery(args.n, args.bound, filters)
+    query = CensusQuery(args.n, args.bound, args.filter or ())
     result = census(query, budget, args.cap)
 
     if args.format == "json":
@@ -352,12 +355,12 @@ def cmd_census(args) -> int:
         return EXIT_OK
 
     print(f"census: n={args.n} bound={args.bound}"
-          + (f" filters={','.join(sorted(filters))}" if filters else ""))
+          + (f" filters={','.join(sorted(query.filters))}" if query.filters else ""))
     print(f"raw orders enumerated: {result.totals['raw_orders']}")
     print(f"conjugacy classes: {result.totals['classes']}")
     for name in FILTERS:
         print(f"  {name}: {result.totals[name]}")
-    if filters:
+    if query.filters:
         print(f"classes selected: {len(result.classes)}")
     if args.dump:
         for cls in result.classes:

@@ -145,9 +145,7 @@ def is_gorenstein(m: LevelMatrix) -> bool:
     The criterion is invariant under conjugation, so no prior normalization
     is needed.
     """
-    _require_order(m)
-    witnesses, _ = _gorenstein_scan(m)
-    return witnesses is not None
+    return gorenstein_witnesses(m) is not None
 
 
 def gorenstein_via_dual(m: LevelMatrix) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MonordersError
 from .levels import LevelMatrix, _is_plain_int, _order
 
 _ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
@@ -70,7 +70,10 @@ class Family:
 @cache
 def load_families() -> tuple[Family, ...]:
     """The seven families, in table order."""
-    text = files("monorders").joinpath("data/gorenstein_families_n4.json").read_text()
+    try:
+        text = files("monorders").joinpath("data/gorenstein_families_n4.json").read_text()
+    except OSError as exc:
+        raise MonordersError(f"cannot read the family table: {exc.strerror or exc}") from None
     raw = json.loads(text)
     out = []
     for item in raw["families"]:

@@ -1,9 +1,10 @@
 """Reading and writing level files.
 
 Text format: the first significant line holds n, the next n lines hold n
-space-separated integers each.  Lines may carry ``#`` comments, and blank
-lines are skipped.  The JSON alternative is {"n": int, "m": [[int, ...], ...]};
-input starting with ``{`` is parsed as JSON.
+space-separated integers each, tokens that ``_INT`` matches in full (an optional
+sign, then Unicode decimal digits, not "²"; ``projective --type`` reads the same).
+Lines may carry ``#`` comments, and blank lines are skipped.  The JSON alternative
+is {"n": int, "m": [[int, ...], ...]}; input starting with ``{`` is parsed as JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import ParseError
 from .levels import LevelMatrix, _is_plain_int
 
 _TOKEN = re.compile(r"\S+")
+_INT = re.compile(r"[+-]?\d+")
 _TOO_LONG = "integer has too many digits"
 
 
@@ -30,7 +32,7 @@ def parse_level_text(text: str) -> LevelMatrix:
 
     lineno, header = significant[0]
     tokens = list(_TOKEN.finditer(header))
-    if len(tokens) != 1 or not _is_int(tokens[0].group()):
+    if len(tokens) != 1 or not _INT.fullmatch(tokens[0].group()):
         raise ParseError("expected a single integer n on the first line", line=lineno)
     n = _parse_int(tokens[0].group(), lineno, tokens[0].start() + 1)
     if n < 1:
@@ -45,7 +47,7 @@ def parse_level_text(text: str) -> LevelMatrix:
         row = []
         for match in _TOKEN.finditer(body):
             token = match.group()
-            if not _is_int(token):
+            if not _INT.fullmatch(token):
                 raise ParseError(
                     f"expected an integer, got {token!r}",
                     line=lineno,
@@ -115,22 +117,15 @@ def level_to_json_obj(m: LevelMatrix) -> dict:
     return {"n": m.n, "m": m.to_lists()}
 
 
-def _is_int(token: str) -> bool:
-    # isdecimal, not isdigit: superscripts such as "²" are digits int() rejects
-    if token and token[0] in "+-":
-        token = token[1:]
-    return token.isdecimal()
-
-
 def _digit_limit() -> int:
     """L: the interpreter's int/str digit limit if set below 4,300, else 4,300."""
     return min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 
 
 def _parse_int(token: str, line=None, column=None) -> int:
-    # every printed value is a sum of at most three input integers (a canonical
-    # entry is m[i][j] + m[r][i] - m[r][j]), so refusing more than L - 1 digits
-    # keeps it within the L digits that int() and str() allow
-    if sum(map(str.isdecimal, token)) >= _digit_limit():
+    # the token is a sign and digits (_INT or JSON's syntax); every printed value is a sum
+    # of at most three input integers (a canonical entry is m[i][j] + m[r][i] - m[r][j]),
+    # so refusing more than L - 1 digits keeps it within the L digits int() and str() allow
+    if len(token.lstrip("+-")) >= _digit_limit():
         raise ParseError(_TOO_LONG, line=line, column=column)
     return int(token)

@@ -59,6 +59,9 @@ class TestEichlerShape:
         with pytest.raises(ValueError):
             EichlerShape(2, (1, 1), None)
 
+    def test_size_is_the_sum_of_the_blocks(self):
+        assert EichlerShape(2, (1, 3), 1).n == 4
+
     def test_canonical_rotation(self):
         shape = EichlerShape(3, (1, 2, 1), 2)
         assert shape.canonical().invariant == (1, 1, 2)

@@ -204,6 +204,23 @@ class TestProjective:
         assert captured.out == ""
         assert captured.err == "error: type vector must be integers, got '0,1_0'\n"
 
+    @pytest.mark.parametrize("raw", ["9" * 4300 + ",x", "x," + "9" * 4300])
+    def test_a_non_integer_is_reported_ahead_of_an_over_long_one(self, raw, tmp_path, capsys):
+        # every token is tested before any is parsed, whichever side the long one is on
+        path = write_level(tmp_path, "h.lvl", "2\n0 0\n1 0\n")
+        assert main(["projective", path, f"--type={raw}"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: type vector must be integers, got {raw!r}\n"
+
+    def test_help_shows_how_to_pass_a_negative_first_exponent(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["projective", "--help"])
+        assert exit_info.value.code == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "starts with a negative exponent with '=', as in --type=-1,2,0" in help_text
+
 
 class TestNonOrderRefusal:
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -449,6 +466,30 @@ class TestCensus:
         lines = capsys.readouterr().out.splitlines()[:-1]
         unmatched = [line for line in lines if json.loads(line)["report"]["is_gorenstein"] and '"family": null' in line]
         assert [json.loads(line)["canonical"] for line in unmatched] == [first.to_lists()]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_missing_family_table_exits_two(self, fmt, tmp_path, capsys, monkeypatch):
+        # an install without the package data: nothing is printed before the refusal
+        families = importlib.import_module("monorders.families")
+        monkeypatch.setattr(families, "files", lambda package: tmp_path)
+        families.load_families.cache_clear()
+        try:
+            assert main(["census", "4", "--bound", "1", "--families", "--format", fmt]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            with pytest.raises(monorders.MonordersError, match="cannot read the family table"):
+                monorders.match_family(LevelMatrix.zero(4))
+        finally:
+            families.load_families.cache_clear()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read the family table: ")
+        assert captured.err.count("\n") == 1
+
+    def test_census_cap_help_matches_classify(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        for command in ("classify", "census"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--cap CAP canonical-form size cap (default 8)" in " ".join(capsys.readouterr().out.split())
 
     def test_families_requires_size_four(self, capsys):
         assert main(["census", "3", "--families"]) == EXIT_INPUT

@@ -1,3 +1,6 @@
+import sys
+from itertools import chain
+
 import pytest
 
 from monorders import (
@@ -10,6 +13,7 @@ from monorders import (
     parse_level_json,
     parse_level_text,
 )
+from monorders.levelio import _INT
 
 
 def test_text_round_trip():
@@ -50,6 +54,18 @@ def test_superscript_digit_is_not_an_integer():
     with pytest.raises(ParseError) as info:
         parse_level_text("1\n \u00b2\n")
     assert (info.value.line, info.value.column) == (2, 2)
+
+
+def test_the_integer_pattern_is_a_sign_then_decimal_digits():
+    # _INT must accept exactly an optional sign followed by str.isdecimal
+    # characters: "\u0663" (Arabic-Indic three) is one, and int() reads it as 3
+    def rule(token):
+        body = token[1:] if token[:1] in ("+", "-") else token
+        return body.isdecimal()
+
+    tokens = chain(map(chr, range(sys.maxunicode + 1)), ["", "+", "+-1", "1_0"])
+    assert [t for t in tokens if bool(_INT.fullmatch(t)) != rule(t)] == []
+    assert parse_level_text("2\n0 \u0663\n-0 +0\n") == LevelMatrix.from_rows([[0, 3], [0, 0]])
 
 
 def test_over_long_integer_reports_position():
