@@ -59,6 +59,8 @@ class EichlerShape:
                 raise InvalidInputError("period-one shapes carry no a")
         elif not _is_plain_int(self.a) or self.a < 1:
             raise InvalidInputError("a must be a positive integer when the period exceeds one")
+        if not isinstance(self.invariant, tuple):
+            raise InvalidInputError("the invariant must be a tuple of block sizes")
 
     @property
     def n(self) -> int:
@@ -113,16 +115,14 @@ def _triangular_rows(rows, n):
     # makes norm[i][k] <= norm[i][j] + norm[j][k] = norm[j][k] for every k and
     # norm[i][i] = 0 < norm[j][i], so row i sums to less than row j.  Tied
     # indices have equal rows and columns, so each root yields one candidate.
-    best = None
+    candidates = []
     for base in rows:
         norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
         if any(norm[i][j] and norm[j][i] for i in range(n) for j in range(i)):
             continue  # i and j incomparable: the preorder is not total
         order = sorted(range(n), key=lambda i: sum(norm[i]))
-        candidate = tuple(tuple(norm[i][j] for j in order) for i in order)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+        candidates.append(tuple(tuple(norm[i][j] for j in order) for i in order))
+    return min(candidates, default=None)
 
 
 def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
@@ -181,7 +181,7 @@ def truncate(m: LevelMatrix) -> LevelMatrix:
     if any(e < 0 for row in m.entries for e in row):
         raise NotPositiveTypeError("truncation requires nonnegative entries")
     # For a, b >= 0, c <= a + b implies min(c,1) <= min(a,1) + min(b,1).
-    return LevelMatrix(tuple(tuple(min(e, 1) for e in row) for row in m.entries))
+    return _order(tuple(tuple(min(e, 1) for e in row) for row in m.entries))
 
 
 @dataclass(frozen=True)

@@ -109,15 +109,13 @@ def _gorenstein_scan(m):
     witnesses = []
     for i in range(n):
         ri = rows[i]
-        found = None
         for j in range(n):
             c = ri[0] + rows[0][j]
             if all(ri[k] + rows[k][j] == c for k in range(n)):
-                found = (c, j + 1)
+                witnesses.append((c, j + 1))
                 break
-        if found is None:
+        else:
             return None, i + 1
-        witnesses.append(found)
     return tuple(witnesses), None
 
 
@@ -128,15 +126,13 @@ def gorenstein_witnesses(m: LevelMatrix):
     negated row i equals column j up to the additive constant c(i).
     """
     _require_order(m)
-    witnesses, _ = _gorenstein_scan(m)
-    return witnesses
+    return _gorenstein_scan(m)[0]
 
 
 def gorenstein_failing_row(m: LevelMatrix):
     """First 1-based row without a witness, or None for Gorenstein orders."""
     _require_order(m)
-    _, failing = _gorenstein_scan(m)
-    return failing
+    return _gorenstein_scan(m)[1]
 
 
 def is_gorenstein(m: LevelMatrix) -> bool:

@@ -2,23 +2,22 @@
 
 The family patterns ship as data (data/gorenstein_families_n4.json); each
 entry is one of the linear expressions 0, a, b, a+b in the positive integer
-parameters.  Every diagonal entry is 0, and the coefficients of each entry
-(i, k) are at most those of (i, j) plus those of (j, k), so every instance
-is an order.  ``Family`` refuses a pattern that breaks these conditions,
-so its instances come marked as orders; it also refuses ``params`` other
-than the parameters its pattern uses, in the order a, b.
+parameters.  Each entry is a*ca + b*cb with a, b >= 0, so every instance is an
+order exactly when the unit instances a = 1, b = 0 and a = 0, b = 1 are.
+``Family`` proves the pattern by the order scan on the unit instances and
+refuses one that fails it, so its instances come marked as orders; it also
+refuses ``params`` other than the parameters its pattern uses, in the order a, b.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
 from importlib.resources import files
 
 from .errors import InvalidInputError, MonordersError
-from .levels import LevelMatrix, _is_plain_int, _order
+from .levels import LevelMatrix, _is_plain_int, _order, order_violation
 
 _ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
 
@@ -30,21 +29,25 @@ class Family:
     pattern: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        # the conditions that make every instance (a, b >= 0) an order, so
-        # that instantiate hands it out marked as one
+        # every instance is an order when the unit instances are, so that
+        # instantiate hands it out marked as one
         n = len(self.pattern)
-        square = all(len(row) == n for row in self.pattern)
+        square = isinstance(self.pattern, tuple) and all(
+            isinstance(row, tuple) and len(row) == n for row in self.pattern
+        )
         if not square or not all(isinstance(e, str) and e in _ENTRY_COEFFS for row in self.pattern for e in row):
             raise InvalidInputError(f"family {self.index} pattern must be a square table of 0, a, b, a+b")
         coeffs = [[_ENTRY_COEFFS[expr] for expr in row] for row in self.pattern]
-        if any(coeffs[i][i] != (0, 0) for i in range(n)):
+        units = [LevelMatrix(tuple(tuple(c[t] for c in row) for row in coeffs)) for t in (0, 1)]
+        witnesses = [w for w in map(order_violation, units) if w is not None]
+        if any(isinstance(w, int) for w in witnesses):
             raise InvalidInputError(f"family {self.index} has a nonzero diagonal entry")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if any(x > y + z for x, y, z in zip(coeffs[i][k], coeffs[i][j], coeffs[j][k])):
-                raise InvalidInputError(
-                    f"family {self.index} has instances that are not orders: entry ({i + 1},{k + 1}) "
-                    f"exceeds ({i + 1},{j + 1}) plus ({j + 1},{k + 1})"
-                )
+        if witnesses:
+            i, j, k = min(witnesses)  # the first triple of the scan that breaks in a or in b
+            raise InvalidInputError(
+                f"family {self.index} has instances that are not orders: "
+                f"entry ({i},{k}) exceeds ({i},{j}) plus ({j},{k})"
+            )
         # params name exactly the parameters the pattern uses, a before b
         used = tuple(name for t, name in enumerate(("a", "b")) if any(c[t] for row in coeffs for c in row))
         if self.params != used:

@@ -25,9 +25,9 @@ normalized permutation conjugate is a canonical representative per
 conjugacy class (:func:`canonical_form`), found by a search that fills
 positions one at a time rather than by scanning all n! permutations.
 
-Values compare, hash and print by their entries.  The order mark is the one
-write to a shared level, set once, so a race between threads at worst repeats
-a scan; the census marks a class level canonical before it hands it out.
+Values hold tuples, and compare, hash and print by their entries.  The order
+mark is the one write to a shared level, set once, so a thread race at worst
+repeats a scan; the census marks a class level canonical before handing it out.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class LevelMatrix:
             for e in row:
                 if not _is_plain_int(e):
                     raise TypeError(f"level entries must be integers, got {e!r}")
+        if not isinstance(self.entries, tuple):
+            raise InvalidInputError("level matrix entries must form a square tuple of tuples")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LevelMatrix":
@@ -124,6 +126,8 @@ class WeylElement:
         for s in self.shifts:
             if not _is_plain_int(s):
                 raise TypeError("shifts must be integers")
+        if not isinstance(self.shifts, tuple) or not isinstance(self.perm, tuple):
+            raise InvalidInputError("shifts and perm must be tuples")
 
     @classmethod
     def identity(cls, n: int) -> "WeylElement":
@@ -371,8 +375,8 @@ def _canonical_sigma(rows, n):
         candidates = []
         for prefix, rest, keys in nodes:
             base = rows[prefix[0]]
-            for x, key in zip(rest, keys):
-                if key != low:
+            for i, x in enumerate(rest):
+                if keys[i] != low:
                     continue
                 rx = rows[x]
                 bx = base[x]
@@ -381,16 +385,13 @@ def _canonical_sigma(rows, n):
                 head = [rx[a] + bx - base[a] for a in prefix]
                 if best is None or head < best:
                     best = head
-                    candidates = [(prefix, rest, keys, x)]
+                    candidates = [(prefix, rest, keys, i, base, rx, bx)]
                 elif head == best:
-                    candidates.append((prefix, rest, keys, x))
+                    candidates.append((prefix, rest, keys, i, base, rx, bx))
         best = None
         nodes = []
-        for prefix, rest, keys, x in candidates:
-            base = rows[prefix[0]]
-            rx = rows[x]
-            bx = base[x]
-            i = rest.index(x)
+        for prefix, rest, keys, i, base, rx, bx in candidates:
+            x = rest[i]
             rest = rest[:i] + rest[i + 1:]
             keys = [key + (rx[z] + bx - base[z],) for key, z in zip(keys[:i] + keys[i + 1:], rest)]
             # every node of this depth has the same multiset of old keys, so

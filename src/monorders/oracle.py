@@ -95,16 +95,16 @@ def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):
     Among the failures, w is the one closest to the base (smallest total
     entrywise difference, ties broken lexicographically), so the witness is
     a minimal perturbation of the input.  Candidates are tested in that
-    order by ``is_gorenstein``, the base first (the only one at distance 0,
-    so a non-Gorenstein base needs no enumeration), up to the first failure;
+    order by ``is_gorenstein`` up to the first failure, the base once and first
+    (the only one at distance 0, so a non-Gorenstein base needs no enumeration);
     the members come marked as orders, so only the base is scanned.  Refuses
     as ``overorders`` does: the order check of ``is_gorenstein``, then the budget.
     """
     if not is_gorenstein(m):
         _check_overorder_budget(m, budget)
         return False, m
-    # nearest first: the largest entry sum; the sort is stable, so ties keep the entry order
-    for member in sorted(overorders(m, budget), key=lambda level: -sum(map(sum, level.entries))):
+    # nearest first: the largest entry sum, ties in entry order; the base, tested above, leads
+    for member in sorted(overorders(m, budget), key=lambda level: -sum(map(sum, level.entries)))[1:]:
         if not is_gorenstein(member):
             return False, member
     return True, None

@@ -25,6 +25,7 @@ from monorders import (
     is_order,
     load_families,
     match_family,
+    order_violation,
     triangular_form,
     truncate,
 )
@@ -153,7 +154,7 @@ def test_criterion_6_truncation_preserves_order_and_bass():
         for n in (1, 2, 3, 4):
             for m in enumerate_orders(n, 3):
                 t = truncate(m)
-                assert is_order(t)
+                assert order_violation(LevelMatrix(t.entries)) is None  # t comes marked: scan a copy
                 if is_bass(m)[0]:
                     if t not in cache:
                         cache[t] = is_bass(t)[0]

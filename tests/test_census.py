@@ -329,6 +329,73 @@ def test_match_family_matches_orbit_membership(census_result):
         assert match_family(level) == (hits[0] if hits else None)
 
 
+ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}
+
+
+def coefficient_loop_refusal(pattern):
+    # the refusal text of the coefficient-by-coefficient check that Family made
+    # before it scanned its unit instances, or None when that check passed
+    n = len(pattern)
+    coeffs = [[ENTRY_COEFFS[expr] for expr in row] for row in pattern]
+    if any(coeffs[i][i] != (0, 0) for i in range(n)):
+        return "family 0 has a nonzero diagonal entry"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if any(x > y + z for x, y, z in zip(coeffs[i][k], coeffs[i][j], coeffs[j][k])):
+            return (
+                f"family 0 has instances that are not orders: entry ({i + 1},{k + 1}) "
+                f"exceeds ({i + 1},{j + 1}) plus ({j + 1},{k + 1})"
+            )
+    return None
+
+
+def family_refusal(pattern):
+    # Family's refusal text for the pattern with the params it uses, or None
+    used = tuple(name for t, name in enumerate("ab") if any(ENTRY_COEFFS[e][t] for row in pattern for e in row))
+    try:
+        Family(0, used, pattern)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+def unit_witness(pattern, t):
+    # order_violation of the unit instance whose parameter t (0 for a, 1 for b) is 1
+    return order_violation(LevelMatrix(tuple(tuple(ENTRY_COEFFS[e][t] for e in row) for row in pattern)))
+
+
+# the b instance breaks at (1,3,2), before the a instance at (3,2,1)
+B_BREAKS_FIRST = (("0", "b", "0"), ("0", "0", "0"), ("a", "0", "0"))
+# a = b = 1 gives an order, but the b instance breaks at (1,2,3) and the a instance at (1,3,2)
+SUM_INSTANCE_IS_AN_ORDER = (("0", "a", "b"), ("0", "0", "0"), ("0", "b", "0"))
+
+
+def test_family_refusals_match_the_coefficient_loop():
+    exprs = list(ENTRY_COEFFS)
+    patterns = [B_BREAKS_FIRST, SUM_INSTANCE_IS_AN_ORDER]
+    patterns += [(cells[:2], cells[2:]) for cells in itertools.product(exprs, repeat=4)]
+    rng = random.Random("family patterns")
+    for _ in range(3000):
+        n = rng.choice((3, 4))
+        zero_diagonal = rng.random() < 0.9
+        patterns.append(tuple(
+            tuple("0" if i == j and zero_diagonal else rng.choice(exprs) for j in range(n)) for i in range(n)
+        ))
+    outcomes = set()
+    for pattern in patterns:
+        expected = coefficient_loop_refusal(pattern)
+        assert family_refusal(pattern) == expected, pattern
+        outcomes.add((len(pattern), expected and ("diagonal" if "diagonal" in expected else "triangle")))
+    # 3x3 and 4x4 patterns are accepted, refused for the diagonal and refused
+    # for a triangle; with a zero diagonal, no 2x2 pattern breaks a triangle
+    kinds = (None, "diagonal", "triangle")
+    assert outcomes == {(2, None), (2, "diagonal")} | {(n, kind) for n in (3, 4) for kind in kinds}
+    a_witness, b_witness = unit_witness(B_BREAKS_FIRST, 0), unit_witness(B_BREAKS_FIRST, 1)
+    assert b_witness == (1, 3, 2) < a_witness == (3, 2, 1)
+    assert [unit_witness(SUM_INSTANCE_IS_AN_ORDER, t) for t in (0, 1)] == [(1, 3, 2), (1, 2, 3)]
+    sum_instance = tuple(tuple(sum(ENTRY_COEFFS[e]) for e in row) for row in SUM_INSTANCE_IS_AN_ORDER)
+    assert is_order(LevelMatrix(sum_instance))
+
+
 class TestFamilies:
     def test_table_shape(self):
         families = load_families()

@@ -24,6 +24,7 @@ from monorders import (
     is_hereditary,
     is_order,
     is_upper_triangular,
+    order_violation,
     triangular_form,
     truncate,
 )
@@ -180,9 +181,20 @@ class TestTruncate:
             truncate(M([[0, 1], [-1, 0]]))
 
     def test_preserves_order_on_sweep(self):
+        # the result comes marked, so an unmarked copy is scanned
         for n in (2, 3):
             for m in enumerate_orders(n, 3):
-                assert is_order(truncate(m))
+                assert order_violation(LevelMatrix(truncate(m).entries)) is None
+
+    def test_comes_back_marked_and_an_unmarked_copy_passes_the_scan(self):
+        # truncate marks its result as an order on the strength of the clamp
+        # argument; the scan of an unmarked copy checks that argument
+        rng = random.Random("truncate")
+        for _ in range(200):
+            m = random_order(rng, rng.randint(2, 6), 4)
+            clamped = truncate(m)
+            assert getattr(clamped, "_checked", False)
+            assert order_violation(LevelMatrix(clamped.entries)) is None, m
 
 
 class TestClassify:

@@ -7,6 +7,7 @@ from monorders import (
     CensusQuery,
     DimensionMismatch,
     EichlerShape,
+    Family,
     InvalidInputError,
     LevelMatrix,
     NotAnOrderError,
@@ -274,6 +275,25 @@ def test_value_types_refuse_non_plain_ints(name):
     build, message = NOT_PLAIN_INTS[name]
     with pytest.raises(InvalidInputError, match=message):
         build()
+
+
+FAMILY_REFUSAL = "^family 0 pattern must be a square table of 0, a, b, a"
+LISTS_FOR_TUPLES = [
+    (lambda: LevelMatrix([(0, 1), (0, 0)]), "^level matrix entries must form a square tuple of tuples$"),
+    (lambda: WeylElement([0, 0], [1, 0]), "^shifts and perm must be tuples$"),
+    (lambda: WeylElement((0, 0), [1, 0]), "^shifts and perm must be tuples$"),
+    (lambda: EichlerShape(2, [1, 1], 1), "^the invariant must be a tuple of block sizes$"),
+    (lambda: Family(0, ("a",), [["0", "a"], ["0", "0"]]), FAMILY_REFUSAL),
+    (lambda: Family(0, ("a",), (["0", "a"], ["0", "0"])), FAMILY_REFUSAL),
+]
+
+
+def test_value_types_refuse_lists_where_tuples_belong():
+    # a value built on lists would compare unequal to its tuple twin and fail to hash
+    for build, message in LISTS_FOR_TUPLES:
+        with pytest.raises(InvalidInputError, match=message):
+            build()
+    assert LevelMatrix.from_rows([[0, 1], [0, 0]]) == LevelMatrix(((0, 1), (0, 0)))  # from_rows converts
 
 
 class TestConjugate:

@@ -180,6 +180,24 @@ def _period_two(sizes, a):
     return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
 
 
+def test_bass_oracle_tests_each_overorder_once(monkeypatch):
+    # the base is the one overorder at distance 0: tested first, and not again as a member
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_gorenstein(m)
+
+    monkeypatch.setattr(oracle_module, "is_gorenstein", counting)
+    bass_orders = (M([[0, 0], [2, 0]]), LevelMatrix.zero(3), M([[0, 0, 0], [1, 0, 0], [1, 1, 0]]))
+    for m in bass_orders + (_period_two((2, 2), 3),):
+        calls.clear()
+        assert bass_oracle(m) == (True, None)
+        members = overorders(m).members
+        assert len(calls) == len(members)
+        assert sorted(level.entries for level in calls) == [level.entries for level in members]
+
+
 ORACLE_CASES = ["census-3-5", "census-4-2", "census-5-1", "gorenstein-4-3", "period-two", "sec52"]
 
 
