@@ -6,10 +6,11 @@ the first row shrinks the box by (bound+1)**(n-1).  They come from the box
 search that ``overorders`` also uses, which builds each pair's cells from the
 intervals its triangles allow, so no non-order is built.  Raw orders are
 folded into classes by orbit marking: the n! normalized conjugates of a
-class's first raw order (one shift per root, then only permutations) give
-its canonical level and count, and its other raw orders are skipped.  The
-class level, the one member classified, is marked as its own canonical form,
-so classifying it finds none again.
+class's first raw order give its canonical level and count, and its other raw
+orders are skipped.  Per root one conjugation normalizes the level and moves
+the root to 0, and one table of (n-1)! index getters per n reads the conjugates
+fixing 0 off its flat n*n entries.  Members stay flat; only the class level, the
+one classified, is built, marked as its own canonical form (classify finds none).
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -105,26 +106,26 @@ def census(
     _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
     _check_search_cap(n, search_cap)
 
-    counts: dict[LevelMatrix, int] = {}
-    pending = set()  # raw orders of a class already counted, not yet enumerated
+    counts = {}  # flat class level, the least member of its orbit -> class size
+    pending = set()  # flat raw orders of a class already counted, not yet enumerated
     raw_orders = 0
     for rows in _orders_in_box(*_census_box(n, bound)):
         raw_orders += 1
-        if rows in pending:
-            pending.remove(rows)
+        flat = sum(rows, ())
+        if flat in pending:
+            pending.remove(flat)
             continue
         orbit = list(_orbit_by_root(rows, n))
         # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
-        in_box = set().union(*(members for norm, members in orbit if max(map(max, norm)) <= bound))
-        canonical = _order(min(min(members) for _, members in orbit))
-        object.__setattr__(canonical, "_canonical", True)  # classify reuses it as its own canonical form
-        counts[canonical] = len(in_box)
-        pending |= in_box - {rows}
+        in_box = set().union(*(members for norm, members in orbit if max(norm) <= bound))
+        counts[min(min(members) for _, members in orbit)] = len(in_box)
+        pending |= in_box - {flat}
 
     all_classes = []
-    for canonical in sorted(counts, key=lambda c: c.entries):
-        report = classify(canonical, search_cap)
-        all_classes.append(CensusClass(canonical, report, counts[canonical]))
+    for least in sorted(counts):  # flat order is row-major order
+        canonical = _order(tuple(least[i:i + n] for i in range(0, n * n, n)))
+        object.__setattr__(canonical, "_canonical", True)  # classify reuses it as its own canonical form
+        all_classes.append(CensusClass(canonical, classify(canonical, search_cap), counts[least]))
 
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
     totals.update({name: sum(map(test, all_classes)) for name, test in FILTERS.items()})

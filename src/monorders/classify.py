@@ -108,20 +108,21 @@ def eichler_shape_of_triangular(m: LevelMatrix) -> Optional[EichlerShape]:
 def _triangular_rows(rows, n):
     # Lex-min upper triangular normalized permutation conjugate, or None.
     # Rooted at r (r moved to index 0, first row normalized to zero), entry
-    # (i, j) becomes m[i][j] + m[r][i] - m[r][j] >= 0, which is zero iff
+    # (i, j) becomes norm[i][j] = m[i][j] + m[r][i] - m[r][j] >= 0, zero iff
     # i <= j in the preorder "m[r][i] + m[i][j] == m[r][j]" (transitive by the
     # triangle condition).  So a root admits a triangular conjugate iff that
-    # preorder is total, and then sorting by row sum gives it: i < j strictly
-    # makes norm[i][k] <= norm[i][j] + norm[j][k] = norm[j][k] for every k and
-    # norm[i][i] = 0 < norm[j][i], so row i sums to less than row j.  Tied
-    # indices have equal rows and columns, so each root yields one candidate.
+    # preorder is total, tested on the input rows, and then sorting by row sum
+    # gives it: i < j strictly makes norm[i][k] <= norm[i][j] + norm[j][k] =
+    # norm[j][k] for all k and norm[i][i] = 0 < norm[j][i], so row i sums to less;
+    # sum(norm[i]) = sum(m[i]) + n*m[r][i] - sum(m[r]), so the sort needs no norm.
+    # Tied indices have equal rows and columns: one candidate per passing root.
     candidates = []
     for base in rows:
-        norm = [[rows[i][j] + base[i] - base[j] for j in range(n)] for i in range(n)]
-        if any(norm[i][j] and norm[j][i] for i in range(n) for j in range(i)):
+        if any(rows[i][j] + base[i] != base[j] and rows[j][i] + base[j] != base[i]
+               for i in range(n) for j in range(i)):
             continue  # i and j incomparable: the preorder is not total
-        order = sorted(range(n), key=lambda i: sum(norm[i]))
-        candidates.append(tuple(tuple(norm[i][j] for j in order) for i in order))
+        order = sorted(range(n), key=lambda i: sum(rows[i]) + n * base[i])
+        candidates.append(tuple(tuple(rows[i][j] + base[i] - base[j] for j in order) for i in order))
     return min(candidates, default=None)
 
 

@@ -77,9 +77,7 @@ def load_families() -> tuple[Family, ...]:
         text = files("monorders").joinpath("data/gorenstein_families_n4.json").read_text()
     except OSError as exc:
         raise MonordersError(f"cannot read the family table: {exc.strerror or exc}") from None
-    raw = json.loads(text)
-    out = []
-    for item in raw["families"]:
-        pattern = tuple(tuple(entry for entry in row) for row in item["pattern"])
-        out.append(Family(item["index"], tuple(item["params"]), pattern))
-    return tuple(out)
+    return tuple(
+        Family(item["index"], tuple(item["params"]), tuple(map(tuple, item["pattern"])))
+        for item in json.loads(text)["families"]
+    )

@@ -14,8 +14,8 @@ level it builds; ``is_order`` and ``_require_order`` skip a marked level.
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
 :class:`WeylElement` and computed by one loop, ``_conjugate_rows``, behind
-:func:`conjugate`, the canonical form and the census orbits (one shift per
-root, then only permutations); the convention used throughout is
+:func:`conjugate`, the canonical form and the census orbits (per root one
+conjugation, then one flat n*n index table per n); the convention used is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 from typing import Iterable
 
@@ -310,17 +311,20 @@ def _check_search_cap(n, search_cap):
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
 
 
+@cache
+def _rooted_getters(n):
+    # one flat n*n index getter per permutation fixing 0; the identity's is tuple,
+    # since at n = 1 an itemgetter of one index returns an entry, not a tuple
+    orders = ((0, *tail) for tail in itertools.islice(itertools.permutations(range(1, n)), 1, None))
+    return (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in orders))
+
+
 def _orbit_by_root(rows, n):
-    # per root r, the rows normalized by row r and the set of normalized conjugates
-    # sending r to 0: each permutes those rows, so all of them share their entries
-    if n == 1:
-        yield rows, {rows}
-        return
-    everyone = tuple(range(n))
-    for r in everyone:
-        norm = _conjugate_rows(rows, n, rows[r], everyone)
-        gets = [itemgetter(r, *tail) for tail in itertools.permutations(everyone[:r] + everyone[r + 1:])]
-        yield norm, {tuple(map(get, get(norm))) for get in gets}
+    # per root r, the flat rows normalized by row r with r moved to 0, and the set of
+    # their flat conjugates that fix 0, the ones sending r to 0: all share their entries
+    for r in range(n):
+        norm = sum(_conjugate_rows(rows, n, rows[r], (*range(1, r + 1), 0, *range(r + 1, n))), ())
+        yield norm, {get(norm) for get in _rooted_getters(n)}
 
 
 def _swappable(rows, n, x, y):
@@ -435,8 +439,4 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
 
 def is_upper_triangular(m: LevelMatrix) -> bool:
     """True iff m[i][j] = 0 whenever i <= j (strict lower triangular values only)."""
-    for i, row in enumerate(m.entries):
-        for j in range(i, m.n):
-            if row[j] != 0:
-                return False
-    return True
+    return not any(any(row[i:]) for i, row in enumerate(m.entries))

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import sys
 
@@ -25,7 +26,7 @@ from monorders import (
 from monorders.census import FILTERS, _census_box
 from monorders.cli import main
 from monorders.levelio import level_to_text
-from monorders.levels import _orbit_by_root, _orders_in_box
+from monorders.levels import _orbit_by_root, _orders_in_box, _rooted_getters
 
 from conftest import (
     _conjugates,
@@ -128,18 +129,27 @@ def test_class_levels_are_their_own_canonical_form(n, bound, census_result):
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
 def test_orbits_by_root_match_the_permutation_sweep(n, bound):
-    # per root r, one shift and then permutations give the conjugates of the brute
-    # sweep whose sigma sends r to 0, and they share the entries of the shifted
-    # rows, so one max test per root finds the in-box conjugates of the sweep
+    # per root r, one conjugation (shift by row r, move r to 0) and then the table's
+    # permutations fixing 0 give the flattened conjugates of the brute sweep whose
+    # sigma sends r to 0; they share the entries of the conjugated rows, so one max
+    # test per root finds the in-box conjugates of the sweep
+    _rooted_getters.cache_clear()
     for rows in _orders_in_box(*_census_box(n, bound)):
-        sweep = list(_conjugates(rows, n))
+        sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(rows, n)]
         by_root = list(_orbit_by_root(rows, n))
         assert len(by_root) == n
         for r, (norm, members) in enumerate(by_root):
-            assert members == {level for level, sigma in sweep if sigma[r] == 0}
-            assert {tuple(sorted(sum(m, ()))) for m in members} == {tuple(sorted(sum(norm, ())))}
-        in_box = {level for level, _ in sweep if max(map(max, level)) <= bound}
-        assert set().union(*(members for norm, members in by_root if max(map(max, norm)) <= bound)) == in_box
+            assert members == {flat for flat, sigma in sweep if sigma[r] == 0}
+            assert {tuple(sorted(m)) for m in members} == {tuple(sorted(norm))}
+        in_box = {flat for flat, _ in sweep if max(flat) <= bound}
+        assert set().union(*(members for norm, members in by_root if max(norm) <= bound)) == in_box
+    # one table per n, built once: (n-1)! getters, each taking n*n entries to n*n entries
+    assert _rooted_getters.cache_info().misses == 1
+    gets = _rooted_getters(n)
+    assert len(gets) == math.factorial(n - 1)
+    flat = tuple(range(n * n))
+    assert all(sorted(get(flat)) == list(flat) for get in gets)
+    assert len({get(flat) for get in gets}) == len(gets)
 
 
 # each census filter read off a class report, as the report's own fields say it
@@ -190,7 +200,9 @@ SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52"
 # a level that passes the check is marked, and so is every value built from
 # an order (conjugates, triangular forms, overorders, census classes, family
 # instances), so each query scans the level it is given once and nothing else;
-# the census builds its class levels as orders, so it makes no scan at all
+# the census builds its class levels as orders, so it makes no scan at all.
+# The family table is loaded afresh in each query, and proves each of its 7
+# patterns by scanning the pattern's two unit instances: 14 scans
 ORDER_SCANS = {
     "check": (("check", "staircase3"), 1),
     "classify": (("classify", "staircase3"), 1),
@@ -201,7 +213,7 @@ ORDER_SCANS = {
     "classify-oracle-staircase4": (("classify", "staircase4", "--oracle"), 1),
     "classify-oracle-sec52": (("classify", "sec52", "--oracle"), 1),
     "projective": (("projective", "staircase3", "--type", "0,1,1"), 1),
-    "census-4-3-families": (("census", "4", "--bound", "3", "--families"), 0),
+    "census-4-3-families": (("census", "4", "--bound", "3", "--families"), 14),
     "bass_oracle-staircase4": ((bass_oracle, "staircase4"), 1),
     "gorenstein_via_dual-sec52": ((gorenstein_via_dual, "sec52"), 1),
 }
@@ -221,6 +233,7 @@ def test_order_scans_per_query(name, monkeypatch, tmp_path, capsys):
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "monorders" and getattr(module, "order_violation", None) is original:
             monkeypatch.setattr(module, "order_violation", counting)
+    load_families.cache_clear()
     head, *args = query
     if callable(head):
         head(LevelMatrix(SCAN_LEVELS[args[0]]))

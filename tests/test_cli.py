@@ -422,13 +422,15 @@ class TestSearchCap:
 
     def test_census_cap_refuses_before_any_orbit_scan(self, capsys, monkeypatch):
         def scan(*args):
-            raise AssertionError("a conjugate was built")
+            raise AssertionError("a conjugate or an orbit table was built")
 
         monkeypatch.setattr("monorders.levels._conjugate_rows", scan)
-        assert main(["census", "4", "--cap", "3"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: canonical form of size 4 exceeds the cap 3\n"
+        monkeypatch.setattr("monorders.levels._rooted_getters", scan)
+        for argv, size, cap in ((["census", "4", "--cap", "3"], 4, 3), (["census", "5000", "--bound", "0"], 5000, 8)):
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: canonical form of size {size} exceeds the cap {cap}\n"
 
 
 class TestCensus:

@@ -146,7 +146,8 @@ def test_overorder_members_contain_base_and_are_orders(m):
     assert m in result
     assert LevelMatrix.zero(m.n) in result
     for member in result:
-        assert is_order(member)
+        # an unmarked copy, so that the order condition is scanned, not read off the mark
+        assert order_violation(LevelMatrix(member.entries)) is None
         assert all(
             member.entries[i][j] <= m.entries[i][j]
             for i in range(m.n)
