@@ -7,10 +7,10 @@ search that ``overorders`` also uses, which builds each pair's cells from the
 intervals its triangles allow, so no non-order is built.  Raw orders are
 folded into classes by orbit marking: the n! normalized conjugates of a
 class's first raw order give its canonical level and count, and its other raw
-orders are skipped.  Per root one conjugation normalizes the level and moves
-the root to 0, and one table of (n-1)! index getters per n reads the conjugates
-fixing 0 off its flat n*n entries.  Members stay flat; only the class level, the
-one classified, is built, marked as its own canonical form (classify finds none).
+orders are skipped.  Per root one flat comprehension normalizes the level and
+moves the root to 0, and one table of (n-1)! index getters per n reads the
+conjugates fixing 0 off those n*n entries.  Members stay flat; only the class
+level, the one classified, is built, marked as its own canonical form.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -115,10 +115,14 @@ def census(
         if flat in pending:
             pending.remove(flat)
             continue
-        orbit = list(_orbit_by_root(rows, n))
-        # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
-        in_box = set().union(*(members for norm, members in orbit if max(norm) <= bound))
-        counts[min(min(members) for _, members in orbit)] = len(in_box)
+        in_box = set()
+        least = flat
+        for norm, members in _orbit_by_root(rows, n):
+            # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
+            if max(norm) <= bound:
+                in_box |= members
+            least = min(least, min(members))
+        counts[least] = len(in_box)
         pending |= in_box - {flat}
 
     all_classes = []

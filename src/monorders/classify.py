@@ -70,7 +70,7 @@ class EichlerShape:
         """Same shape with the invariant rotated to its lex-min cyclic rotation."""
         inv = self.invariant
         best = min(inv[i:] + inv[:i] for i in range(len(inv)))
-        return EichlerShape(self.period, best, self.a)
+        return self if best == inv else EichlerShape(self.period, best, self.a)
 
 
 def _staircase_shape(rows, n):
@@ -111,18 +111,23 @@ def _triangular_rows(rows, n):
     # (i, j) becomes norm[i][j] = m[i][j] + m[r][i] - m[r][j] >= 0, zero iff
     # i <= j in the preorder "m[r][i] + m[i][j] == m[r][j]" (transitive by the
     # triangle condition).  So a root admits a triangular conjugate iff that
-    # preorder is total, tested on the input rows, and then sorting by row sum
-    # gives it: i < j strictly makes norm[i][k] <= norm[i][j] + norm[j][k] =
-    # norm[j][k] for all k and norm[i][i] = 0 < norm[j][i], so row i sums to less;
-    # sum(norm[i]) = sum(m[i]) + n*m[r][i] - sum(m[r]), so the sort needs no norm.
-    # Tied indices have equal rows and columns: one candidate per passing root.
+    # preorder is total, which each pair tests on the input rows for all roots
+    # left at once, and then sorting by row sum gives it: i < j strictly makes
+    # norm[i][k] <= norm[i][j] + norm[j][k] = norm[j][k] for all k and
+    # norm[i][i] = 0 < norm[j][i], so row i sums to less; sum(norm[i]) =
+    # sum(m[i]) + n*m[r][i] - sum(m[r]), so the sort needs no norm and the row
+    # sums are taken once.  Tied indices have equal rows and columns: one
+    # candidate per passing root.
+    roots = range(n)
+    for i in range(n):
+        for j in range(i):
+            ends = (rows[i][j], -rows[j][i])  # m[r][j] - m[r][i] if i <= j, if j <= i
+            roots = [r for r in roots if rows[r][j] - rows[r][i] in ends]
+    sums = [sum(row) for row in rows]
     candidates = []
-    for base in rows:
-        if any(rows[i][j] + base[i] != base[j] and rows[j][i] + base[j] != base[i]
-               for i in range(n) for j in range(i)):
-            continue  # i and j incomparable: the preorder is not total
-        order = sorted(range(n), key=lambda i: sum(rows[i]) + n * base[i])
-        candidates.append(tuple(tuple(rows[i][j] + base[i] - base[j] for j in order) for i in order))
+    for base in map(rows.__getitem__, roots):
+        order = sorted(range(n), key=[s + n * b for s, b in zip(sums, base)].__getitem__)
+        candidates.append(tuple([tuple([rows[i][j] + base[i] - base[j] for j in order]) for i in order]))
     return min(candidates, default=None)
 
 

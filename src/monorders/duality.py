@@ -11,7 +11,9 @@ The dual of an order of level m is the module of level -transpose(m); it is
 generally not an order itself.  An order is Gorenstein exactly when its dual
 is projective as a one-sided module, which unwinds to a purely combinatorial
 criterion: for every row i there are c and a column j with
-m[i][k] + m[k][j] = c for all k.  ``gorenstein_via_dual`` re-derives the
+m[i][k] + m[k][j] = c for all k.  ``is_gorenstein`` finds each row's least
+such j in O(n^2) total, by hashing every column's differences from its
+first entry (``_gorenstein_scan``).  ``gorenstein_via_dual`` re-derives the
 verdict along the module route (raw dual columns tested for projectivity
 over m) and serves as an independent cross-check of ``is_gorenstein``.
 """
@@ -93,29 +95,25 @@ def dual_level(m: LevelMatrix) -> DualLevel:
     the raw dual of an order is typically not an order itself, and the
     double dual satisfies dual_level(dual_level(m).raw).raw == m.
     """
-    n = m.n
-    rows = m.entries
-    raw = tuple(tuple(-rows[j][i] for j in range(n)) for i in range(n))
-    top = raw[0]
-    normalized = tuple(tuple(raw[i][j] - top[j] for j in range(n)) for i in range(n))
+    raw = tuple(tuple(-e for e in column) for column in zip(*m.entries))
+    normalized = tuple(tuple(e - top for e, top in zip(row, raw[0])) for row in raw)
     return DualLevel(LevelMatrix(raw), LevelMatrix(normalized))
 
 
 def _gorenstein_scan(m):
-    # per-row witnesses (c, j) with m[i][k] + m[k][j] == c for all k,
-    # or the first failing row; all indices 1-based in the result
+    # per-row witnesses (c, least j) with m[i][k] + m[k][j] == c for all k, or the first
+    # failing row, 1-based.  That holds iff m[k][j] - m[0][j] == m[i][0] - m[i][k] for all
+    # k, with c = m[i][0] + m[0][j]: one lookup per row in a dict of column keys, O(n^2).
     rows = m.entries
-    n = m.n
+    columns = {}
+    for j, column in enumerate(zip(*rows)):
+        columns.setdefault(tuple([e - column[0] for e in column]), j)
     witnesses = []
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            c = ri[0] + rows[0][j]
-            if all(ri[k] + rows[k][j] == c for k in range(n)):
-                witnesses.append((c, j + 1))
-                break
-        else:
+    for i, ri in enumerate(rows):
+        j = columns.get(tuple([ri[0] - e for e in ri]))
+        if j is None:
             return None, i + 1
+        witnesses.append((ri[0] + rows[0][j], j + 1))
     return tuple(witnesses), None
 
 

@@ -13,9 +13,9 @@ level it builds; ``is_order`` and ``_require_order`` skip a marked level.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
-:class:`WeylElement` and computed by one loop, ``_conjugate_rows``, behind
-:func:`conjugate`, the canonical form and the census orbits (per root one
-conjugation, then one flat n*n index table per n); the convention used is
+:class:`WeylElement` and computed by :func:`conjugate`; the census orbits
+normalize each root's conjugate in one flat comprehension and permute it by
+one flat n*n index table per n (``_orbit_by_root``).  The convention used is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
@@ -68,9 +68,10 @@ class LevelMatrix:
         for row in self.entries:
             if not isinstance(row, tuple) or len(row) != n:
                 raise InvalidInputError("level matrix entries must form a square tuple of tuples")
-            for e in row:
-                if not _is_plain_int(e):
-                    raise TypeError(f"level entries must be integers, got {e!r}")
+            if set(map(type, row)) != {int}:  # one C pass for the common row of plain ints
+                for e in row:
+                    if not _is_plain_int(e):
+                        raise TypeError(f"level entries must be integers, got {e!r}")
         if not isinstance(self.entries, tuple):
             raise InvalidInputError("level matrix entries must form a square tuple of tuples")
 
@@ -151,12 +152,8 @@ def compose(outer: WeylElement, inner: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    n = w.n
-    inv_perm = [0] * n
-    for i, p in enumerate(w.perm):
-        inv_perm[p] = i
-    shifts = tuple(-w.shifts[inv_perm[j]] for j in range(n))
-    return WeylElement(shifts, tuple(inv_perm))
+    inv_perm = tuple(sorted(range(w.n), key=w.perm.__getitem__))  # inv_perm[p] is the index perm sends to p
+    return WeylElement(tuple(-w.shifts[i] for i in inv_perm), inv_perm)
 
 
 @dataclass(frozen=True)
@@ -270,17 +267,6 @@ def _require_order(m):
             raise NotAnOrderError(f"input level is not an order ({_violation_text(witness)})", witness)
 
 
-def _conjugate_rows(rows, n, shifts, perm):
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        target = out[perm[i]]
-        si = shifts[i]
-        ri = rows[i]
-        for j in range(n):
-            target[perm[j]] = ri[j] + si - shifts[j]
-    return tuple(tuple(r) for r in out)
-
-
 def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
     """Conjugate a level by a Weyl element.
 
@@ -290,7 +276,9 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
     """
     if w.n != m.n:
         raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
-    rows = _conjugate_rows(m.entries, m.n, w.shifts, w.perm)
+    entries, shifts = m.entries, w.shifts
+    order = sorted(range(m.n), key=w.perm.__getitem__)  # order[p] is the index moved to p
+    rows = tuple(tuple(entries[i][j] + shifts[i] - shifts[j] for j in order) for i in order)
     return _order(rows) if getattr(m, "_checked", False) else LevelMatrix(rows)
 
 
@@ -322,9 +310,11 @@ def _rooted_getters(n):
 def _orbit_by_root(rows, n):
     # per root r, the flat rows normalized by row r with r moved to 0, and the set of
     # their flat conjugates that fix 0, the ones sending r to 0: all share their entries
+    gets = _rooted_getters(n)
     for r in range(n):
-        norm = sum(_conjugate_rows(rows, n, rows[r], (*range(1, r + 1), 0, *range(r + 1, n))), ())
-        yield norm, {get(norm) for get in _rooted_getters(n)}
+        shifted = [(a, rows[r][a]) for a in (r, *range(r), *range(r + 1, n))]  # (index, shift) by new index
+        norm = tuple([rows[a][b] + sa - sb for a, sa in shifted for b, sb in shifted])
+        yield norm, {get(norm) for get in gets}
 
 
 def _swappable(rows, n, x, y):
@@ -417,6 +407,9 @@ def _canonical_sigma(rows, n):
     return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)
 
 
+_identity = cache(WeylElement.identity)  # the witness of every census class level of size n
+
+
 def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[LevelMatrix, WeylElement]:
     """Distinguished conjugacy-class representative of an order.
 
@@ -431,7 +424,7 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
     _require_order(m)
     _check_search_cap(m.n, search_cap)
     if getattr(m, "_canonical", False):
-        return m, WeylElement.identity(m.n)
+        return m, _identity(m.n)
     sigma = _canonical_sigma(m.entries, m.n)
     w = WeylElement(m.entries[sigma.index(0)], sigma)
     return conjugate(m, w), w

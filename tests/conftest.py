@@ -15,10 +15,11 @@ from monorders import (
     census,
     is_gorenstein,
     is_order,
+    normalize_positive,
     overorders,
 )
 from monorders.census import _census_box
-from monorders.levels import _conjugate_rows, _orders_in_box
+from monorders.levels import _orders_in_box
 
 
 def min_plus_closure(rows):
@@ -75,6 +76,11 @@ def enumerate_orders(n: int, bound: int):
     return _sorted_orders(_census_box(n, bound))
 
 
+CENSUS_SIZES = [(n, b) for n in range(1, 5) for b in range(4)] + [(5, 1)]
+# the census sizes of the orbit tests: every class of these is compared with a brute fold
+ORBIT_SIZES = CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)]
+
+
 @pytest.fixture(scope="session")
 def census_result():
     """census(CensusQuery(n, bound)), each (n, bound) run once per test session."""
@@ -92,7 +98,9 @@ def _conjugates(rows, n):
     The brute n! orbit: the shifts m[sigma^{-1}(0)] zero the first row.
     """
     for sigma in itertools.permutations(range(n)):
-        yield _conjugate_rows(rows, n, rows[sigma.index(0)], sigma), sigma
+        order = sorted(range(n), key=sigma.__getitem__)  # order[p] is the index sigma sends to p
+        base = rows[order[0]]
+        yield tuple([tuple([rows[i][j] + base[i] - base[j] for j in order]) for i in order]), sigma
 
 
 def _brute_triangular_candidates(m: LevelMatrix):
@@ -187,9 +195,29 @@ def brute_match_family(level: LevelMatrix, family):
         assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
     for params in assignments:
         instance = family.instantiate(**params)
-        if _conjugate_rows(instance.entries, n, instance.entries[0], tuple(range(n))) in orbit:
+        if normalize_positive(instance).level.entries in orbit:
             return params
     return None
+
+
+def brute_gorenstein_scan(m: LevelMatrix):
+    """The O(n^3) Gorenstein scan: per row, the least column j that c = m[i][0] + m[0][j] fits.
+
+    Returns (per-row witnesses (c, j) or None, first failing row or None), 1-based.
+    """
+    rows = m.entries
+    n = m.n
+    witnesses = []
+    for i in range(n):
+        ri = rows[i]
+        for j in range(n):
+            c = ri[0] + rows[0][j]
+            if all(ri[k] + rows[k][j] == c for k in range(n)):
+                witnesses.append((c, j + 1))
+                break
+        else:
+            return None, i + 1
+    return tuple(witnesses), None
 
 
 def brute_bass_oracle(m: LevelMatrix):

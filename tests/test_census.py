@@ -29,6 +29,8 @@ from monorders.levelio import level_to_text
 from monorders.levels import _orbit_by_root, _orders_in_box, _rooted_getters
 
 from conftest import (
+    CENSUS_SIZES,
+    ORBIT_SIZES,
     _conjugates,
     brute_canonical_form,
     brute_census_counts,
@@ -84,10 +86,6 @@ def overorder_box(rows):
 
 SEC52_ROWS = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0))
 STAIRCASES = {n: tuple(tuple(int(j < i) for j in range(n)) for i in range(n)) for n in (3, 4)}
-
-CENSUS_SIZES = [(n, b) for n in range(1, 5) for b in range(4)] + [(5, 1)]
-# the census sizes of the orbit tests: every class of these is compared with a brute fold
-ORBIT_SIZES = CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)]
 
 BOXES = {
     **{f"census-{n}-{b}": _census_box(n, b) for n, b in CENSUS_SIZES},

@@ -422,9 +422,10 @@ class TestSearchCap:
 
     def test_census_cap_refuses_before_any_orbit_scan(self, capsys, monkeypatch):
         def scan(*args):
-            raise AssertionError("a conjugate or an orbit table was built")
+            raise AssertionError("an orbit or an orbit table was built")
 
-        monkeypatch.setattr("monorders.levels._conjugate_rows", scan)
+        # the census module, not the census function that the package exports under its name
+        monkeypatch.setattr(importlib.import_module("monorders.census"), "_orbit_by_root", scan)
         monkeypatch.setattr("monorders.levels._rooted_getters", scan)
         for argv, size, cap in ((["census", "4", "--cap", "3"], 4, 3), (["census", "5000", "--bound", "0"], 5000, 8)):
             assert main(argv) == EXIT_INPUT

@@ -21,7 +21,8 @@ from monorders import (
     normalize_positive,
     projective_witness,
 )
-from conftest import enumerate_orders, random_order, random_weyl
+from monorders.duality import _gorenstein_scan
+from conftest import ORBIT_SIZES, brute_gorenstein_scan, enumerate_orders, random_order, random_weyl
 
 
 def M(rows):
@@ -188,6 +189,28 @@ class TestGorenstein:
         # row i negated plus c equals column j, entrywise
         for i, (c, j) in enumerate(gorenstein_witnesses(SEC52)):
             assert tuple(-SEC52.entries[i][k] + c for k in range(4)) == SEC52.column(j)
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_hashed_scan_matches_the_brute_scan_on_census_classes(n, bound, census_result):
+    # the same least column, the same c and the same failing row as the O(n^3) scan
+    for cls in census_result(n, bound).classes:
+        assert _gorenstein_scan(cls.canonical) == brute_gorenstein_scan(cls.canonical), cls.canonical
+
+
+def test_hashed_scan_matches_the_brute_scan_on_random_orders():
+    # random orders, half with a zero first row, and their Weyl conjugates, whose
+    # entries can be negative; some of them are not Gorenstein
+    rng = random.Random(2024)
+    failing = 0
+    for n in range(1, 9):
+        for _ in range(60):
+            m = random_order(rng, n, rng.randint(0, 4), zero_first_row=rng.random() < 0.5)
+            for level in (m, conjugate(m, random_weyl(rng, n))):
+                expected = brute_gorenstein_scan(level)
+                assert _gorenstein_scan(level) == expected, level
+                failing += expected[0] is None
+    assert failing > 0
 
 
 class TestDualityCrossCheck:

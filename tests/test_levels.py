@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import random
 
 import pytest
@@ -77,6 +78,17 @@ class TestLevelMatrix:
         # from_rows converts nothing: the constructor's check is the only entry check
         with pytest.raises(TypeError, match=f"^level entries must be integers, got {rows[0][1]!r}$"):
             M(rows)
+
+    def test_from_rows_accepts_int_subclass_entries(self):
+        # a row of entries not all of type int takes the per-entry check, which
+        # accepts an int subclass such as an IntEnum member and refuses only bool
+        class Level(enum.IntEnum):
+            TWO = 2
+
+        m = M([[0, Level.TWO], [0, 0]])
+        assert m == M([[0, 2], [0, 0]]) and m.entries[0][1] is Level.TWO
+        with pytest.raises(TypeError, match="^level entries must be integers, got True$"):
+            M([[0, Level.TWO], [True, 0]])
 
     def test_row_column_one_based(self):
         m = M([[0, 1], [2, 0]])
