@@ -1,5 +1,7 @@
 """Exact classification of monomial orders via integer level matrices."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     DimensionMismatch,
@@ -73,68 +75,8 @@ from .levelio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASS_EICHLER_PERIOD_TWO",
-    "BASS_HEREDITARY",
-    "BASS_NOT",
-    "BudgetExceededError",
-    "CensusClass",
-    "CensusQuery",
-    "CensusResult",
-    "ClassificationReport",
-    "DEFAULT_BUDGET",
-    "DEFAULT_SEARCH_CAP",
-    "DimensionMismatch",
-    "DualLevel",
-    "EichlerShape",
-    "FILTERS",
-    "Family",
-    "InvalidInputError",
-    "LevelMatrix",
-    "MonordersError",
-    "NotALatticeError",
-    "NotAnOrderError",
-    "NotPositiveTypeError",
-    "NotTriangularError",
-    "OverorderSet",
-    "ParseError",
-    "PositiveTypeForm",
-    "SearchTooLargeError",
-    "WeylElement",
-    "bass_oracle",
-    "canonical_form",
-    "census",
-    "classify",
-    "classify_eichler",
-    "compose",
-    "conjugate",
-    "dual_level",
-    "eichler_shape_of_triangular",
-    "gorenstein_failing_row",
-    "gorenstein_via_dual",
-    "gorenstein_witnesses",
-    "inverse",
-    "is_bass",
-    "is_gorenstein",
-    "is_hereditary",
-    "is_lattice",
-    "is_order",
-    "is_projective",
-    "is_upper_triangular",
-    "lattice_violation",
-    "level_to_json_obj",
-    "level_to_text",
-    "load_families",
-    "load_level",
-    "match_family",
-    "normalize_positive",
-    "order_violation",
-    "overorder_bound",
-    "overorders",
-    "parse_level",
-    "parse_level_json",
-    "parse_level_text",
-    "projective_witness",
-    "triangular_form",
-    "truncate",
-]
+# every name imported above, in sorted order; not the submodules, which those imports
+# also bind on the package
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

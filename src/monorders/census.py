@@ -6,11 +6,13 @@ the first row shrinks the box by (bound+1)**(n-1).  They come from the box
 search that ``overorders`` also uses, which builds each pair's cells from the
 intervals its triangles allow, so no non-order is built.  Raw orders are
 folded into classes by orbit marking: the n! normalized conjugates of a
-class's first raw order give its canonical level and count, and its other raw
-orders are skipped.  Per root one flat comprehension normalizes the level and
-moves the root to 0, and one table of (n-1)! index getters per n reads the
-conjugates fixing 0 off those n*n entries.  Members stay flat; only the class
-level, the one classified, is built, marked as its own canonical form.
+class's first raw order give its count, its canonical level (the least
+conjugate) and its triangular form (the least one with a zero upper
+triangle), and its other raw orders are skipped.  Per root one flat
+comprehension normalizes the level and moves the root to 0, and one table of
+(n-1)! index getters per n reads the conjugates fixing 0 off those n*n
+entries.  Members stay flat; only the class level, the one classified, and
+its triangular form are built, and the level carries both forms as marks.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InvalidInputError, NotAnOrderError
 from .classify import ClassificationReport, classify
@@ -89,6 +92,10 @@ def _census_box(n, bound):
     return LevelMatrix.zero(n).entries, hi
 
 
+def _unflatten(flat, n):
+    return tuple([flat[i:i + n] for i in range(0, n * n, n)])
+
+
 def census(
     query: CensusQuery,
     budget: int = DEFAULT_BUDGET,
@@ -106,7 +113,11 @@ def census(
     _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
     _check_search_cap(n, search_cap)
 
-    counts = {}  # flat class level, the least member of its orbit -> class size
+    # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
+    # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
+    upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
+    zeros = upper((0,) * (n * n))
+    classes = {}  # flat least member of an orbit -> (class size, least upper triangular member)
     pending = set()  # flat raw orders of a class already counted, not yet enumerated
     raw_orders = 0
     for rows in _orders_in_box(*_census_box(n, bound)):
@@ -116,20 +127,23 @@ def census(
             pending.remove(flat)
             continue
         in_box = set()
-        least = flat
+        orbit = set()
         for norm, members in _orbit_by_root(rows, n):
             # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
             if max(norm) <= bound:
                 in_box |= members
-            least = min(least, min(members))
-        counts[least] = len(in_box)
+            orbit |= members
+        upper_members = [member for member in orbit if upper(member) == zeros]
+        classes[min(orbit)] = len(in_box), min(upper_members, default=None)
         pending |= in_box - {flat}
 
     all_classes = []
-    for least in sorted(counts):  # flat order is row-major order
-        canonical = _order(tuple(least[i:i + n] for i in range(0, n * n, n)))
-        object.__setattr__(canonical, "_canonical", True)  # classify reuses it as its own canonical form
-        all_classes.append(CensusClass(canonical, classify(canonical, search_cap), counts[least]))
+    for least in sorted(classes):  # flat order is row-major order
+        count, upper_member = classes[least]
+        triangular = None if upper_member is None else _order(_unflatten(upper_member, n))
+        # classify reuses the class level as its own canonical form, and the triangular form as is
+        canonical = _order(_unflatten(least, n), _canonical=True, _triangular=triangular)
+        all_classes.append(CensusClass(canonical, classify(canonical, search_cap), count))
 
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
     totals.update({name: sum(map(test, all_classes)) for name, test in FILTERS.items()})

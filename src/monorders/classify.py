@@ -8,9 +8,10 @@ period-1 case), and Bass means hereditary or Eichler of period two.
 ``classify`` bundles every verdict, with witnesses, into one report.
 
 The verdicts read one triangular conjugate, found in O(n^3) by sorting along
-a shortest-path preorder, so they take no size cap; ``classify`` finds it
-once and keeps it in its report.  Only its canonical form keeps a cap (a
-pruned search over placements, see ``levels.canonical_form``).
+a shortest-path preorder, so they take no size cap; ``classify`` takes it
+once and keeps it in its report, and a census class level carries the one
+read off its orbit.  Only its canonical form keeps a cap (a pruned search
+over placements, see ``levels.canonical_form``).
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
 def triangular_form(m: LevelMatrix) -> Optional[LevelMatrix]:
     """Lex-min upper triangular normalized permutation conjugate, or None."""
     _require_order(m)
+    if getattr(m, "_canonical", False):
+        return m._triangular  # a census class level carries the one read off its orbit
     rows = _triangular_rows(m.entries, m.n)
     return None if rows is None else _order(rows)
 

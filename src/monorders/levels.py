@@ -8,8 +8,10 @@ m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
 An order is checked where it enters: a public function that needs one raises
 ``NotAnOrderError`` through ``_require_order``, worded as the command line
-prints it.  ``order_violation`` marks each level it passes and ``_order`` each
-level it builds; ``is_order`` and ``_require_order`` skip a marked level.
+prints it.  ``order_violation`` marks each level it passes; ``is_order`` and
+``_require_order`` skip a marked level.  ``_order`` builds, already marked, a
+level whose rows the program made from ints as an order, and skips the
+constructor's validation of those rows.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -27,7 +29,7 @@ positions one at a time rather than by scanning all n! permutations.
 
 Values hold tuples, and compare, hash and print by their entries.  The order
 mark is the one write to a shared level, set once, so a thread race at worst
-repeats a scan; the census marks a class level canonical before handing it out.
+repeats a scan; the census gives each class level its marks before handing it out.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class LevelMatrix:
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
     level known to be an order carries the private attribute ``_checked``,
-    and a census class level also ``_canonical``; neither is a dataclass field.
+    and a census class level also ``_canonical`` and ``_triangular`` (its
+    triangular form or None, read off its orbit); none is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -193,10 +196,11 @@ def is_order(m: LevelMatrix) -> bool:
     return getattr(m, "_checked", False) or order_violation(m) is None
 
 
-def _order(rows):
-    # a level of rows built as an order, marked so that it is not checked again
-    m = LevelMatrix(rows)
-    object.__setattr__(m, "_checked", True)
+def _order(rows, **marks):
+    # a level of int rows built as an order: not validated, marked so that it is not
+    # checked again, and given the further private marks its builder proved
+    m = object.__new__(LevelMatrix)
+    m.__dict__.update(marks, entries=rows, _checked=True)  # where the frozen field and marks live
     return m
 
 

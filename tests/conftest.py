@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import functools
+import importlib
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from monorders import (
     is_gorenstein,
     is_order,
     normalize_positive,
+    order_violation,
     overorders,
 )
 from monorders.census import _census_box
@@ -85,6 +87,32 @@ ORBIT_SIZES = CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)]
 def census_result():
     """census(CensusQuery(n, bound)), each (n, bound) run once per test session."""
     return functools.cache(lambda n, bound: census(CensusQuery(n, bound)))
+
+
+@pytest.fixture
+def checked_order(monkeypatch):
+    """Re-prove each level that ``_order`` builds, in every module that binds it.
+
+    ``_order`` builds a level without the constructor's validation and marks
+    it an order.  The wrapper asserts, on an unmarked copy, that the
+    constructor accepts the rows and the order scan passes them, then builds
+    the level as ``_order`` does.  The fixture is the list of rows built.
+    The modules come through importlib: ``monorders.census`` and
+    ``monorders.classify`` are attributes of the package bound to functions.
+    """
+    original = importlib.import_module("monorders.levels")._order
+    built = []
+
+    def checking(rows, **marks):
+        assert order_violation(LevelMatrix(rows)) is None, rows
+        built.append(rows)
+        return original(rows, **marks)
+
+    for name in ("levels", "census", "classify", "oracle", "families"):
+        module = importlib.import_module(f"monorders.{name}")
+        assert module._order is original
+        monkeypatch.setattr(module, "_order", checking)
+    return built
 
 
 def enumerate_triangular_orders(n: int, bound: int):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from monorders import (
     bass_oracle,
     canonical_form,
     census,
+    classify,
     conjugate,
     gorenstein_via_dual,
     is_order,
@@ -22,6 +24,7 @@ from monorders import (
     load_families,
     match_family,
     order_violation,
+    triangular_form,
 )
 from monorders.census import FILTERS, _census_box
 from monorders.cli import main
@@ -109,9 +112,18 @@ def test_box_search_matches_product_filter(name):
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
 def test_orbit_marking_matches_canonical_fold(n, bound, census_result):
+    # orbit marking gives the classes and counts of a fold through canonical_form, and each
+    # class the least triangular member of its orbit: the form of the brute sweep and of the
+    # search on an unmarked copy, whose report equals the class's field by field
     result = census_result(n, bound)
     assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
-    triangular = sum(brute_triangular_verdicts(c.canonical)[0] is not None for c in result.classes)
+    triangular = 0
+    for cls in result.classes:
+        copy = LevelMatrix(cls.canonical.entries)
+        form = brute_triangular_verdicts(cls.canonical)[0]
+        assert cls.report.triangular == form == triangular_form(copy)
+        assert vars(cls.report) == vars(classify(copy))
+        triangular += form is not None
     assert result.totals["upper_triangular"] == triangular
 
 
@@ -175,8 +187,9 @@ def test_totals_and_selections_match_the_class_reports(n, bound, census_result):
             assert selected == tuple(c for c, passed in zip(result.classes, verdicts) if passed >= set(names))
 
 
-def test_one_triangular_search_per_class(monkeypatch):
-    # classify keeps the triangular form, and the upper_triangular filter reads it
+def test_census_makes_no_triangular_search(monkeypatch):
+    # each class level carries the triangular form read off its orbit, classify
+    # keeps it in the report, and the upper_triangular filter reads it there
     classify_module = importlib.import_module("monorders.classify")
     calls = []
     search = classify_module._triangular_rows
@@ -188,7 +201,14 @@ def test_one_triangular_search_per_class(monkeypatch):
     monkeypatch.setattr(classify_module, "_triangular_rows", counting)
     result = census(CensusQuery(4, 2))
     assert result.totals["classes"] > 0
-    assert len(calls) == result.totals["classes"]
+    assert calls == []
+    assert 0 < result.totals["upper_triangular"] < result.totals["classes"]
+    upper = FILTERS["upper_triangular"]
+    for cls in result.classes:
+        assert triangular_form(cls.canonical) is cls.report.triangular
+        assert upper(cls) == (cls.report.triangular is not None)
+        flipped = replace(cls.report, triangular=cls.canonical if cls.report.triangular is None else None)
+        assert upper(replace(cls, report=flipped)) != upper(cls)
 
 
 SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52": SEC52_ROWS}

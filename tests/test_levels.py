@@ -1,5 +1,6 @@
 import dataclasses
 import enum
+import itertools
 import random
 
 import pytest
@@ -22,17 +23,19 @@ from monorders import (
     conjugate,
     inverse,
     is_gorenstein,
+    load_families,
     is_order,
     is_upper_triangular,
     normalize_positive,
     order_violation,
     overorders,
     triangular_form,
+    truncate,
 )
 
 from monorders.levels import _order
 
-from conftest import brute_canonical_form, enumerate_orders, random_order, random_weyl
+from conftest import CENSUS_SIZES, brute_canonical_form, enumerate_orders, random_order, random_weyl
 
 
 def M(rows):
@@ -120,6 +123,39 @@ class TestLevelMatrix:
         assert repr(canonical) == repr(fresh) == f"LevelMatrix(entries={canonical.entries!r})"
         assert dataclasses.asdict(canonical) == dataclasses.asdict(fresh) == {"entries": canonical.entries}
         assert dataclasses.astuple(canonical) == dataclasses.astuple(fresh)
+
+    def test_a_level_built_as_an_order_is_the_validated_value(self):
+        # _order skips the constructor's checks, and builds the value the constructor does
+        rng = random.Random(22)
+        for n in range(1, 7):
+            rows = random_order(rng, n, 3).entries
+            built, validated = _order(rows), LevelMatrix(rows)
+            assert built == validated and hash(built) == hash(validated)
+            assert repr(built) == repr(validated) and str(built) == str(validated)
+            assert dataclasses.fields(built) == dataclasses.fields(validated)
+            assert dataclasses.asdict(built) == dataclasses.asdict(validated) == {"entries": rows}
+            assert vars(built) == {"entries": rows, "_checked": True}
+
+
+def test_every_level_built_as_an_order_passes_the_skipped_checks(checked_order):
+    # every source of _order levels; the fixture re-proves each level, and each source builds some
+    rng = random.Random(23)
+    orders = [random_order(rng, n, 2) for n in range(1, 5) for _ in range(6)]
+    assert all(map(is_order, orders))  # marked, so that their conjugates are built by _order
+    values = list(itertools.product((1, 2, 3), repeat=2))
+    instances = [(family, dict(zip(family.params, ab))) for family in load_families() for ab in values]
+    sources = {
+        "census": lambda: [census(CensusQuery(n, bound)) for n, bound in CENSUS_SIZES],
+        "overorders": lambda: [overorders(m) for m in orders],
+        "conjugate": lambda: [conjugate(m, random_weyl(rng, m.n)) for m in orders],
+        "triangular_form": lambda: [triangular_form(m) for m in orders],
+        "truncate": lambda: [truncate(m) for m in orders],
+        "families": lambda: [family.instantiate(**params) for family, params in instances],
+    }
+    for name, build in sources.items():
+        before = len(checked_order)
+        build()
+        assert len(checked_order) > before, name
 
 
 class TestIsOrder:
