@@ -3,8 +3,11 @@
 Text format: the first significant line holds n, the next n lines hold n
 space-separated integers each, tokens that ``_INT`` matches in full (an optional
 sign, then Unicode decimal digits, not "²"; ``projective --type`` reads the same).
-Lines may carry ``#`` comments, and blank lines are skipped.  The JSON alternative
-is {"n": int, "m": [[int, ...], ...]}; input starting with ``{`` is parsed as JSON.
+Lines may carry ``#`` comments, and blank lines are skipped.  Each row is matched
+whole by ``_ROW``; only a row it refuses, or one with a token of L or more
+characters, is scanned token by token, so a refusal keeps its line and column.
+The JSON alternative is {"n": int, "m": [[int, ...], ...]}; input starting with
+``{`` is parsed as JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .levels import LevelMatrix, _is_plain_int
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+")
+_ROW = re.compile(r"\s*[+-]?\d+(?:\s+[+-]?\d+)*\s*")  # a line of _INT tokens, matched whole
 _TOO_LONG = "integer has too many digits"
 
 
@@ -31,10 +35,10 @@ def parse_level_text(text: str) -> LevelMatrix:
         raise ParseError("empty level file")
 
     lineno, header = significant[0]
-    tokens = list(_TOKEN.finditer(header))
-    if len(tokens) != 1 or not _INT.fullmatch(tokens[0].group()):
+    tokens = header.split()
+    if len(tokens) != 1 or not _INT.fullmatch(tokens[0]):
         raise ParseError("expected a single integer n on the first line", line=lineno)
-    n = _parse_int(tokens[0].group(), lineno, tokens[0].start() + 1)
+    n = _parse_int(tokens[0], lineno, header.index(tokens[0]) + 1)
     if n < 1:
         raise ParseError(f"matrix size must be positive, got {n}", line=lineno)
     if len(significant) - 1 != n:
@@ -42,24 +46,20 @@ def parse_level_text(text: str) -> LevelMatrix:
             f"expected {n} matrix rows, found {len(significant) - 1}", line=lineno
         )
 
+    limit = _digit_limit()
     rows = []
     for lineno, body in significant[1:]:
-        row = []
-        for match in _TOKEN.finditer(body):
-            token = match.group()
-            if not _INT.fullmatch(token):
-                raise ParseError(
-                    f"expected an integer, got {token!r}",
-                    line=lineno,
-                    column=match.start() + 1,
-                )
-            row.append(_parse_int(token, lineno, match.start() + 1))
-        if len(row) != n:
-            raise ParseError(
-                f"expected {n} entries in this row, found {len(row)}", line=lineno
-            )
-        rows.append(row)
-    return LevelMatrix.from_rows(rows)
+        tokens = body.split()  # the tokens _TOKEN finds
+        if not _ROW.fullmatch(body) or max(map(len, tokens)) >= limit:
+            for match in _TOKEN.finditer(body):  # locate the fault, if there is one
+                token, column = match.group(), match.start() + 1
+                if not _INT.fullmatch(token):
+                    raise ParseError(f"expected an integer, got {token!r}", line=lineno, column=column)
+                _parse_int(token, lineno, column)
+        if len(tokens) != n:
+            raise ParseError(f"expected {n} entries in this row, found {len(tokens)}", line=lineno)
+        rows.append(tuple(map(int, tokens)))
+    return LevelMatrix(tuple(rows))
 
 
 def parse_level_json(text: str) -> LevelMatrix:

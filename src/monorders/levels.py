@@ -282,7 +282,7 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
         raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
     entries, shifts = m.entries, w.shifts
     order = sorted(range(m.n), key=w.perm.__getitem__)  # order[p] is the index moved to p
-    rows = tuple(tuple(entries[i][j] + shifts[i] - shifts[j] for j in order) for i in order)
+    rows = tuple([tuple([entries[i][j] + shifts[i] - shifts[j] for j in order]) for i in order])
     return _order(rows) if getattr(m, "_checked", False) else LevelMatrix(rows)
 
 

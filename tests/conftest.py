@@ -4,6 +4,8 @@ import functools
 import importlib
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from monorders import (
     CensusQuery,
     EichlerShape,
     LevelMatrix,
+    ParseError,
     WeylElement,
     canonical_form,
     census,
@@ -265,3 +268,53 @@ def brute_bass_oracle(m: LevelMatrix):
     if best is None:
         return True, None
     return False, best[1]
+
+
+_BRUTE_TOKEN = re.compile(r"\S+")
+_BRUTE_INT = re.compile(r"[+-]?\d+")
+
+
+def brute_parse_level_text(text: str) -> LevelMatrix:
+    """The text reader token by token: one pattern match and one length check per token.
+
+    Self-contained, so that a change to the reader's patterns or its digit
+    limit cannot reach the oracle: a token of L or more digits (L is the
+    interpreter's int/str digit limit if set below 4,300, else 4,300) is refused.
+    """
+    limit = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
+
+    def integer(token, line, column):
+        if len(token.lstrip("+-")) >= limit:
+            raise ParseError("integer has too many digits", line=line, column=column)
+        return int(token)
+
+    significant = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            significant.append((lineno, body))
+    if not significant:
+        raise ParseError("empty level file")
+
+    lineno, header = significant[0]
+    tokens = list(_BRUTE_TOKEN.finditer(header))
+    if len(tokens) != 1 or not _BRUTE_INT.fullmatch(tokens[0].group()):
+        raise ParseError("expected a single integer n on the first line", line=lineno)
+    n = integer(tokens[0].group(), lineno, tokens[0].start() + 1)
+    if n < 1:
+        raise ParseError(f"matrix size must be positive, got {n}", line=lineno)
+    if len(significant) - 1 != n:
+        raise ParseError(f"expected {n} matrix rows, found {len(significant) - 1}", line=lineno)
+
+    rows = []
+    for lineno, body in significant[1:]:
+        row = []
+        for match in _BRUTE_TOKEN.finditer(body):
+            token = match.group()
+            if not _BRUTE_INT.fullmatch(token):
+                raise ParseError(f"expected an integer, got {token!r}", line=lineno, column=match.start() + 1)
+            row.append(integer(token, lineno, match.start() + 1))
+        if len(row) != n:
+            raise ParseError(f"expected {n} entries in this row, found {len(row)}", line=lineno)
+        rows.append(row)
+    return LevelMatrix.from_rows(rows)

@@ -5,7 +5,8 @@ The sha256 of its (exit code, stdout, stderr) must equal the one recorded for
 it in ``cli_golden.json``, next to this file.  The list covers every
 subcommand in both formats, ``classify --oracle``, ``overorders --dump``,
 census with filters, ``--dump`` and ``--families``, and the refusals:
-non-orders, over-cap, over-budget, over-long integers and a missing file.
+non-orders, over-cap, over-budget, over-long integers, a missing file and
+the text reader's refusals, each with its line and column.
 The level files are written to a temporary directory, whose path is replaced
 by ``{dir}`` in the output; the random ones come from ``conftest.random_order``
 and ``random_weyl`` at a fixed seed, so a change to those helpers needs a new
@@ -67,6 +68,20 @@ def _level_files():
     files["ragged.lvl"] = "2\n0 0\n1\n"
     files["shape.json"] = '{"n": 2, "m": [[0, 0]]}'
     files["empty.lvl"] = "# nothing\n"
+    # text-reader refusals and accepted spellings: a bad token in mid-row, a
+    # superscript digit, Arabic-Indic and signed digits, tab and ideographic
+    # space separators, CRLF, comment-only and blank lines, too few rows and
+    # three bad headers
+    files["mid_token.lvl"] = "3\n0 0 0\n1 0x 0\n1 0 0\n"
+    files["superscript.lvl"] = "1\n\u00b2\n"
+    files["arabic.lvl"] = "3\n0 0 0\n\u0663 +0 -0\n3 0 0\n"
+    files["separators.lvl"] = "2\n0\t0\n1\u30000\n"
+    files["crlf.lvl"] = "2\r\n0 0\r\n1 0\r\n"
+    files["comments.lvl"] = "# only a comment\n\n2\n   # indented\n\n0 0  # row one\n\t\n1 0\n"
+    files["few_rows.lvl"] = "3\n0 0 0\n0 0 0\n"
+    files["header_2_2.lvl"] = "2 2\n0 0\n0 0\n"
+    files["header_x.lvl"] = "x\n0\n"
+    files["header_0.lvl"] = "0\n"
     return files, len(orders)
 
 
@@ -93,7 +108,10 @@ def golden_commands():
             ]
             if n <= 4:
                 commands += [["classify", name, "--oracle", *tail], ["overorders", name, "--dump", *tail]]
-    for name in ["long.lvl", "long.json", "edge.lvl", "ragged.lvl", "shape.json", "empty.lvl", "missing.lvl"]:
+    reader_cases = ["long.lvl", "long.json", "edge.lvl", "ragged.lvl", "shape.json", "empty.lvl", "missing.lvl"]
+    reader_cases += ["mid_token.lvl", "superscript.lvl", "arabic.lvl", "separators.lvl", "crlf.lvl", "comments.lvl"]
+    reader_cases += ["few_rows.lvl", "header_2_2.lvl", "header_x.lvl", "header_0.lvl"]
+    for name in reader_cases:
         for fmt in both:
             commands += [["check", name, "--format", fmt], ["classify", name, "--format", fmt]]
     commands += [

@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 from itertools import chain
 
@@ -13,7 +15,10 @@ from monorders import (
     parse_level_json,
     parse_level_text,
 )
-from monorders.levelio import _INT
+from monorders import levelio
+from monorders.levelio import _INT, _ROW
+
+from conftest import brute_parse_level_text
 
 
 def test_text_round_trip():
@@ -124,3 +129,109 @@ def test_load_level_both_formats(tmp_path):
     json_file = tmp_path / "m.json"
     json_file.write_text('{"n": 2, "m": [[0, 0], [1, 0]]}')
     assert load_level(text_file) == load_level(json_file)
+
+
+def _outcome(parse, text):
+    """The level a reader returns, or the type, message, line and column of its refusal."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def test_a_row_matches_whole_exactly_when_each_token_is_an_integer():
+    # the reader's one-pass test of a row against the brute reader's per-token
+    # test, with every code point between two signed tokens and alone:
+    # str.split() yields the \S+ tokens, and _ROW matches exactly when each is an _INT
+    brute_token, brute_int = re.compile(r"\S+"), re.compile(r"[+-]?\d+")
+    points = list(map(chr, range(sys.maxunicode + 1)))
+    for bodies in ([f"+0{c}-0" for c in points], points):
+        spaced = " ".join(bodies)  # one pass: a body that splits apart differently shifts the rest
+        assert spaced.split() == brute_token.findall(spaced)
+        clean = [not body.isspace() and all(map(brute_int.fullmatch, brute_token.findall(body))) for body in bodies]
+        assert [body for body, ok in zip(bodies, clean) if bool(_ROW.fullmatch(body)) != ok] == []
+
+
+def test_every_special_code_point_reads_as_the_brute_reader_reads_it():
+    # whole-file differential on each code point that a space, digit, sign,
+    # comment or line-break rule singles out, between two tokens and alone
+    # (the row test above covers every code point; the rest refuse alike)
+    def special(c):
+        line_break = len(f"0{c}0".splitlines()) != 1
+        return c.isspace() or c.isdecimal() or c in "+-#" or line_break or re.fullmatch(r"[\s\d]", c) is not None
+
+    points = [c for c in map(chr, range(sys.maxunicode + 1)) if special(c)]
+    assert len(points) > 600
+    texts = [text for c in points for text in (f"1\n0{c}0\n", f"1\n{c}\n", f"2\n0 {c}\n1 0\n", f"{c}1\n0\n")]
+    assert [text for text in texts if _outcome(parse_level_text, text) != _outcome(brute_parse_level_text, text)] == []
+
+
+_FUZZ_TOKENS = ["0", "-2", "+3", "12", "\u0663", "x", "1-2", "1+", "\u00b2", "1_0", "--", "+"]  # five good, seven bad
+# the gaps of one text: one or two characters of one separator set ("\x1c" also ends a line)
+_FUZZ_GAPS = [[a + b for a in chars for b in ["", *chars]] for chars in [" ", " \t", " \t\u3000", " \t\u3000\x1c"]]
+
+
+def _fuzz_text(rng):
+    """A level text from good and bad tokens, odd separators, comments, blank lines and bad shapes."""
+    n = rng.randint(1, 4)
+    bad_rate = rng.choice([0, 0, 0.02, 0.1, 0.4])
+    weights = [(1 - bad_rate) / 5] * 5 + [bad_rate / 7] * 7
+    gaps = rng.choice(_FUZZ_GAPS)
+
+    def line(tokens):
+        trail, comment, *before = rng.choices(gaps, k=len(tokens) + 2)
+        text = "".join(gap + token for gap, token in zip(before, tokens))
+        if rng.random() < 0.8:
+            text = text.lstrip()
+        if rng.random() < 0.2:
+            text += trail
+        if rng.random() < 0.15:
+            text += " #" + comment.join(rng.choices(_FUZZ_TOKENS, weights, k=2))
+        return text
+
+    header = [str(n)] if rng.random() > bad_rate else rng.choice([[str(n), str(n)], ["x"], ["0"], ["+"], []])
+    lines = [line(header)]
+    for _ in range(n + rng.choice([0, 0, 0, 0, -1, 1])):
+        lines.append(line(rng.choices(_FUZZ_TOKENS, weights, k=n + rng.choice([0] * 8 + [-1, 1]))))
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# a comment", rng.choice(gaps), "  # 1 2"]))
+    return rng.choice(["\n", "\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_fuzzed_texts_read_as_the_brute_reader_reads_them():
+    rng = random.Random(2024)
+    texts = [_fuzz_text(rng) for _ in range(50_000)]
+    outcomes = [_outcome(parse_level_text, text) for text in texts]
+    assert [text for text, outcome in zip(texts, outcomes) if outcome != _outcome(brute_parse_level_text, text)] == []
+    read = sum(isinstance(outcome, LevelMatrix) for outcome in outcomes)
+    assert 5_000 < read < 45_000  # both readings and refusals are exercised
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_tokens_at_a_lowered_digit_limit_read_as_the_brute_reader_reads_them():
+    # at L = 640, a token of L - 1 digits is read and one of L digits is
+    # refused; a sign adds a character but no digit
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        texts = []
+        for digits in (639, 640):
+            for sign in ("", "+", "-"):
+                token = sign + "7" * digits
+                texts += [f"2\n0 {token}\n{token} 0\n", f"1\n{token}\n", f"{sign}1\n{token}\n"]
+                texts += [f" \t{token}\n0\n", f"2\n0 0 {token}\n1 0\n", f"2\n{token} x\n0 0\n"]
+        outcomes = [_outcome(parse_level_text, text) for text in texts]
+        assert outcomes == [_outcome(brute_parse_level_text, text) for text in texts]
+        assert any(isinstance(outcome, LevelMatrix) for outcome in outcomes)
+        assert (ParseError, "line 2, column 3: integer has too many digits", 2, 3) in outcomes
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_a_clean_row_is_read_without_the_token_scan(monkeypatch):
+    # a row of integers, signed and unsigned, never reaches the scan that
+    # locates a fault; a faulty row does
+    monkeypatch.setattr(levelio, "_TOKEN", None)
+    assert parse_level_text("2\n+0 -2\n\u0663\t0\n") == LevelMatrix.from_rows([[0, -2], [3, 0]])
+    with pytest.raises(AttributeError):
+        parse_level_text("2\n0 x\n1 0\n")
