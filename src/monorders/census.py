@@ -30,6 +30,7 @@ from .families import load_families
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
+    WeylElement,
     _check_search_cap,
     _is_plain_int,
     _order,
@@ -137,12 +138,13 @@ def census(
         classes[min(orbit)] = len(in_box), min(upper_members, default=None)
         pending |= in_box - {flat}
 
+    identity = WeylElement.identity(n)  # the canonical_form witness of every class level
     all_classes = []
     for least in sorted(classes):  # flat order is row-major order
         count, upper_member = classes[least]
         triangular = None if upper_member is None else _order(_unflatten(upper_member, n))
-        # classify reuses the class level as its own canonical form, and the triangular form as is
-        canonical = _order(_unflatten(least, n), _canonical=True, _triangular=triangular)
+        # classify reads the class level's canonical form and triangular form off its marks
+        canonical = _order(_unflatten(least, n), _canonical=identity, _triangular=triangular)
         all_classes.append(CensusClass(canonical, classify(canonical, search_cap), count))
 
     totals = {"raw_orders": raw_orders, "classes": len(all_classes)}

@@ -149,7 +149,7 @@ def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
 def triangular_form(m: LevelMatrix) -> Optional[LevelMatrix]:
     """Lex-min upper triangular normalized permutation conjugate, or None."""
     _require_order(m)
-    if getattr(m, "_canonical", False):
+    if hasattr(m, "_triangular"):
         return m._triangular  # a census class level carries the one read off its orbit
     rows = _triangular_rows(m.entries, m.n)
     return None if rows is None else _order(rows)

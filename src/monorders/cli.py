@@ -33,6 +33,7 @@ EXIT_INPUT = 2
 EXIT_DISAGREEMENT = 3
 
 BUDGET_ENV = "MONORDERS_BUDGET"
+BLOCK_INDENT = "  "  # before each row of a level block
 
 
 def _positive_int(raw):
@@ -62,8 +63,8 @@ def format_level_compact(m) -> str:
     return "[" + "; ".join(" ".join(str(e) for e in row) for row in m.entries) + "]"
 
 
-def format_level_block(m, indent="  ") -> str:
-    return indent + str(m).replace("\n", "\n" + indent)
+def format_level_block(m) -> str:
+    return BLOCK_INDENT + str(m).replace("\n", "\n" + BLOCK_INDENT)
 
 
 def _yesno(flag) -> str:

@@ -57,9 +57,9 @@ class LevelMatrix:
     Entries are stored as a tuple of row tuples and may be any integers;
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
-    level known to be an order carries the private attribute ``_checked``,
-    and a census class level also ``_canonical`` and ``_triangular`` (its
-    triangular form or None, read off its orbit); none is a dataclass field.
+    level known to be an order carries the private mark ``_checked``, a census
+    class level also ``_canonical`` (the witness of ``canonical_form``) and
+    ``_triangular`` (``triangular_form``); none is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -411,9 +411,6 @@ def _canonical_sigma(rows, n):
     return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)
 
 
-_identity = cache(WeylElement.identity)  # the witness of every census class level of size n
-
-
 def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[LevelMatrix, WeylElement]:
     """Distinguished conjugacy-class representative of an order.
 
@@ -423,12 +420,12 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
     their canonical levels are equal.  Returns the level together with the
     achieving Weyl element of least permutation, found by the search of
     ``_canonical_sigma`` instead of an n! scan.  Sizes above ``search_cap``
-    are refused.  A census class level comes back as is, with the identity.
+    are refused.  A census class level comes back as is, with its witness mark.
     """
     _require_order(m)
     _check_search_cap(m.n, search_cap)
-    if getattr(m, "_canonical", False):
-        return m, _identity(m.n)
+    if hasattr(m, "_canonical"):
+        return m, m._canonical
     sigma = _canonical_sigma(m.entries, m.n)
     w = WeylElement(m.entries[sigma.index(0)], sigma)
     return conjugate(m, w), w

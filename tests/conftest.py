@@ -92,30 +92,60 @@ def census_result():
     return functools.cache(lambda n, bound: census(CensusQuery(n, bound)))
 
 
-@pytest.fixture
-def checked_order(monkeypatch):
-    """Re-prove each level that ``_order`` builds, in every module that binds it.
+# the modules that bind levels._order; each is reached through importlib, since
+# on the package monorders.census and monorders.classify are functions
+ORDER_BUILDERS = ("levels", "census", "classify", "oracle", "families")
+#: how many levels the mark audit re-proved this session, and how many were census class levels
+AUDITED = {"levels": 0, "class levels": 0}
 
-    ``_order`` builds a level without the constructor's validation and marks
-    it an order.  The wrapper asserts, on an unmarked copy, that the
-    constructor accepts the rows and the order scan passes them, then builds
-    the level as ``_order`` does.  The fixture is the list of rows built.
-    The modules come through importlib: ``monorders.census`` and
-    ``monorders.classify`` are attributes of the package bound to functions.
+
+def _install_mark_audit():
+    """Re-prove, in every test, each private mark that ``_order`` sets.
+
+    ``_order`` builds a level without the constructor's validation, marks it
+    an order and gives it the marks its builder passes: a census class level
+    gets ``_canonical`` (the witness ``canonical_form`` returns, the level
+    being its own form) and ``_triangular`` (what ``triangular_form``
+    returns).  The wrapper asserts, on an unmarked copy of the rows, that the
+    constructor accepts them and the order scan passes them, that a
+    ``_canonical`` level has a zero first row, the identity as its least
+    canonical sigma and the identity as its witness, and that ``_triangular``
+    is the triangular search's answer; then it builds the level as ``_order``
+    does.  The checks run through references taken here, so a test that
+    patches or counts those functions sees no call of the audit.
     """
-    original = importlib.import_module("monorders.levels")._order
-    built = []
+    levels = importlib.import_module("monorders.levels")
+    build, canonical_sigma, identity = levels._order, levels._canonical_sigma, levels.WeylElement.identity
+    triangular_rows = importlib.import_module("monorders.classify")._triangular_rows
 
-    def checking(rows, **marks):
+    def audited(rows, **marks):
+        n = len(rows)
         assert order_violation(LevelMatrix(rows)) is None, rows
-        built.append(rows)
-        return original(rows, **marks)
+        assert set(marks) <= {"_canonical", "_triangular"}, marks
+        if "_canonical" in marks:
+            assert not any(rows[0]) and canonical_sigma(rows, n) == tuple(range(n)), rows
+            assert marks["_canonical"] == identity(n), marks
+            AUDITED["class levels"] += 1
+        if "_triangular" in marks:
+            form = marks["_triangular"]
+            assert triangular_rows(rows, n) == (None if form is None else form.entries), rows
+        AUDITED["levels"] += 1
+        return build(rows, **marks)
 
-    for name in ("levels", "census", "classify", "oracle", "families"):
+    for name in ORDER_BUILDERS:
         module = importlib.import_module(f"monorders.{name}")
-        assert module._order is original
-        monkeypatch.setattr(module, "_order", checking)
-    return built
+        assert module._order is build, name
+        module._order = audited
+
+
+_install_mark_audit()
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(
+        f"mark audit: re-proved {AUDITED['levels']:,} levels built as orders, "
+        f"{AUDITED['class levels']:,} of them census class levels"
+    )
 
 
 def enumerate_triangular_orders(n: int, bound: int):

@@ -1,6 +1,7 @@
 import dataclasses
 import enum
-import itertools
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -23,19 +24,24 @@ from monorders import (
     conjugate,
     inverse,
     is_gorenstein,
-    load_families,
     is_order,
     is_upper_triangular,
     normalize_positive,
     order_violation,
     overorders,
     triangular_form,
-    truncate,
 )
 
 from monorders.levels import _order
 
-from conftest import CENSUS_SIZES, brute_canonical_form, enumerate_orders, random_order, random_weyl
+from conftest import (
+    AUDITED,
+    ORDER_BUILDERS,
+    brute_canonical_form,
+    enumerate_orders,
+    random_order,
+    random_weyl,
+)
 
 
 def M(rows):
@@ -137,25 +143,21 @@ class TestLevelMatrix:
             assert vars(built) == {"entries": rows, "_checked": True}
 
 
-def test_every_level_built_as_an_order_passes_the_skipped_checks(checked_order):
-    # every source of _order levels; the fixture re-proves each level, and each source builds some
-    rng = random.Random(23)
-    orders = [random_order(rng, n, 2) for n in range(1, 5) for _ in range(6)]
-    assert all(map(is_order, orders))  # marked, so that their conjugates are built by _order
-    values = list(itertools.product((1, 2, 3), repeat=2))
-    instances = [(family, dict(zip(family.params, ab))) for family in load_families() for ab in values]
-    sources = {
-        "census": lambda: [census(CensusQuery(n, bound)) for n, bound in CENSUS_SIZES],
-        "overorders": lambda: [overorders(m) for m in orders],
-        "conjugate": lambda: [conjugate(m, random_weyl(rng, m.n)) for m in orders],
-        "triangular_form": lambda: [triangular_form(m) for m in orders],
-        "truncate": lambda: [truncate(m) for m in orders],
-        "families": lambda: [family.instantiate(**params) for family, params in instances],
-    }
-    for name, build in sources.items():
-        before = len(checked_order)
-        build()
-        assert len(checked_order) > before, name
+def test_the_mark_audit_wraps_every_order_builder():
+    # conftest re-proves each level _order builds, in every module of the package that binds it
+    audit = importlib.import_module("monorders.levels")._order
+    assert audit.__module__ == "conftest"
+    binders = set()
+    for info in pkgutil.iter_modules(importlib.import_module("monorders").__path__):
+        module = importlib.import_module(f"monorders.{info.name}")
+        if hasattr(module, "_order"):
+            assert module._order is audit, info.name
+            binders.add(info.name)
+    assert binders == set(ORDER_BUILDERS)
+    before = dict(AUDITED)
+    classes = census(CensusQuery(3, 1)).totals["classes"]
+    assert AUDITED["class levels"] - before["class levels"] == classes
+    assert AUDITED["levels"] - before["levels"] > classes  # the triangular forms too
 
 
 class TestIsOrder:

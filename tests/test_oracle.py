@@ -27,6 +27,10 @@ def M(rows):
 
 SEC52 = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
 SEC52_OVER = M([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
+# a Gorenstein, non-Bass class of the (5, 2) census whose nearest non-Gorenstein
+# overorder is at distance 2, past every cover
+DISTANCE_TWO = M([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [2, 2, 2, 2, 0]])
+DISTANCE_TWO_WITNESS = M([[0, 0, 0, 0, -1], [0, 0, 0, 0, -1], [2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [2, 2, 2, 2, 0]])
 
 
 class TestOverorders:
@@ -200,7 +204,7 @@ def test_bass_oracle_tests_each_overorder_once(monkeypatch):
         assert sorted(level.entries for level in calls) == [level.entries for level in members]
 
 
-ORACLE_CASES = ["census-3-5", "census-4-2", "census-5-1", "gorenstein-4-3", "period-two", "sec52"]
+ORACLE_CASES = ["census-3-5", "census-4-2", "census-5-1", "gorenstein-4-3", "period-two", "sec52", "distance-two"]
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
@@ -213,6 +217,12 @@ def test_bass_oracle_matches_full_scan(name, census_result):
         levels = [
             _period_two((k, n - k), a) for n in range(2, 6) for k in range(1, n) for a in (1, 2, 3)
         ]
+    elif kind == "distance":
+        # a census class level (its own canonical form, entries <= 2) with its witness two steps down
+        assert canonical_form(DISTANCE_TWO)[0] == DISTANCE_TWO and is_gorenstein(DISTANCE_TWO)
+        assert bass_oracle(DISTANCE_TWO) == (False, DISTANCE_TWO_WITNESS)
+        assert sum(map(sum, DISTANCE_TWO.entries)) - sum(map(sum, DISTANCE_TWO_WITNESS.entries)) == 2
+        levels = [DISTANCE_TWO]
     else:
         levels = [SEC52, SEC52_OVER]
     rng = random.Random(name)
