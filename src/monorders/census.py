@@ -1,18 +1,14 @@
 """Census engine: enumerate, deduplicate and classify orders of a given size.
 
-The raw orders are those with zero first row and zero diagonal whose other
-entries lie in [0, bound]: every class has such a representative, and fixing
-the first row shrinks the box by (bound+1)**(n-1).  They come from the box
-search that ``overorders`` also uses, which builds each pair's cells from the
-intervals its triangles allow, so no non-order is built.  Raw orders are
-folded into classes by orbit marking: the n! normalized conjugates of a
-class's first raw order give its count, its canonical level (the least
-conjugate) and its triangular form (the least one with a zero upper
-triangle), and its other raw orders are skipped.  Per root one flat
-comprehension normalizes the level and moves the root to 0, and one table of
-(n-1)! index getters per n reads the conjugates fixing 0 off those n*n
-entries.  Members stay flat; only the class level, the one classified, and
-its triangular form are built, and the level carries both forms as marks.
+The raw orders, zero in the first row and on the diagonal and in [0, bound]
+elsewhere, come from the box search that ``overorders`` also uses.  Orbit
+marking folds them into classes: the n! normalized conjugates of a class's
+first raw order give its count, its canonical level (the least conjugate) and
+its triangular form (the least one with a zero upper triangle), and its other
+raw orders are skipped.  Three getters per n normalize a flat raw order by
+every root at once, and (n-1)! more read each root's conjugates off its slice.
+The filters read verdicts that cost O(n^2) per class; only a class they keep
+is built as a level and classified, and its marks carry them to the report.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -25,7 +21,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import InvalidInputError, NotAnOrderError
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, _bass_verdict, _staircase_shape, classify
+from .duality import _gorenstein_scan
 from .families import load_families
 from .levels import (
     DEFAULT_SEARCH_CAP,
@@ -34,19 +31,25 @@ from .levels import (
     _check_search_cap,
     _is_plain_int,
     _order,
-    _orbit_by_root,
     _orders_in_box,
+    _root_normalizer,
+    _rooted_getters,
     canonical_form,
 )
 from .oracle import DEFAULT_BUDGET, _check_budget
 
-#: Each filter name and its test of a census class.
+
+def _passed(gorenstein, shape, triangular):
+    # the filters that a class passes, by its Gorenstein verdict, Eichler shape and triangular form
+    hereditary, bass, _ = _bass_verdict(shape)
+    holds = (gorenstein, shape is not None, hereditary, bass, triangular is not None)
+    return {name for name, passed in zip(FILTERS, holds) if passed}
+
+
+#: Each filter name and its test of a census class, read off the class report.
 FILTERS = {
-    "gorenstein": lambda cls: bool(cls.report.is_gorenstein),
-    "eichler": lambda cls: cls.report.eichler is not None,
-    "hereditary": lambda cls: bool(cls.report.is_hereditary),
-    "bass": lambda cls: bool(cls.report.is_bass),
-    "upper_triangular": lambda cls: cls.report.triangular is not None,
+    name: lambda cls, name=name: name in _passed(cls.report.is_gorenstein, cls.report.eichler, cls.report.triangular)
+    for name in ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
 }
 
 
@@ -97,18 +100,13 @@ def _unflatten(flat, n):
     return tuple([flat[i:i + n] for i in range(0, n * n, n)])
 
 
-def census(
-    query: CensusQuery,
-    budget: int = DEFAULT_BUDGET,
-    search_cap: int = DEFAULT_SEARCH_CAP,
-) -> CensusResult:
+def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = DEFAULT_SEARCH_CAP) -> CensusResult:
     """Run the census described by ``query``.
 
-    Raw orders come from the pruned box search over the census box (see the
-    module docstring).  The budget still bounds the raw box, not the search:
-    BudgetExceededError is raised up front when (bound+1)**((n-1)**2)
-    exceeds it, and then SearchTooLargeError when n exceeds ``search_cap``.
-    Deterministic: classes are sorted by their canonical level.
+    The budget bounds the raw box, not its pruned search: BudgetExceededError
+    is raised up front when (bound+1)**((n-1)**2) exceeds it, and then
+    SearchTooLargeError when n exceeds ``search_cap``.  Deterministic: classes
+    are sorted by their canonical level; the totals count every class.
     """
     n, bound = query.n, query.bound
     _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
@@ -118,6 +116,8 @@ def census(
     # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
     upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
     zeros = upper((0,) * (n * n))
+    normalize, gets = _root_normalizer(n), _rooted_getters(n)
+    roots = [slice(start, start + n * n) for start in range(0, n ** 3, n * n)]
     classes = {}  # flat least member of an orbit -> (class size, least upper triangular member)
     pending = set()  # flat raw orders of a class already counted, not yet enumerated
     raw_orders = 0
@@ -127,9 +127,12 @@ def census(
         if flat in pending:
             pending.remove(flat)
             continue
+        norms = normalize(flat)
         in_box = set()
         orbit = set()
-        for norm, members in _orbit_by_root(rows, n):
+        for root in roots:
+            norm = norms[root]
+            members = {get(norm) for get in gets}  # the conjugates sending this root to 0
             # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
             if max(norm) <= bound:
                 in_box |= members
@@ -139,18 +142,24 @@ def census(
         pending |= in_box - {flat}
 
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
-    all_classes = []
+    tallies = dict.fromkeys(FILTERS, 0)
+    selected = []
     for least in sorted(classes):  # flat order is row-major order
         count, upper_member = classes[least]
-        triangular = None if upper_member is None else _order(_unflatten(upper_member, n))
-        # classify reads the class level's canonical form and triangular form off its marks
-        canonical = _order(_unflatten(least, n), _canonical=identity, _triangular=triangular)
-        all_classes.append(CensusClass(canonical, classify(canonical, search_cap), count))
-
-    totals = {"raw_orders": raw_orders, "classes": len(all_classes)}
-    totals.update({name: sum(map(test, all_classes)) for name, test in FILTERS.items()})
-    selected = tuple(c for c in all_classes if all(FILTERS[name](c) for name in query.filters))
-    return CensusResult(query, selected, totals)
+        rows = _unflatten(least, n)
+        scan = _gorenstein_scan(rows)
+        form = None if upper_member is None else _unflatten(upper_member, n)
+        # an Eichler order is Gorenstein, so only a Gorenstein class has a shape to read
+        shape = None if scan[0] is None or form is None else _staircase_shape(form, n)
+        passed = _passed(scan[0] is not None, shape, form)
+        for name in passed:
+            tallies[name] += 1
+        if passed >= query.filters:
+            eichler = None if shape is None else shape.canonical()
+            triangular = None if form is None else _order(form, _eichler=eichler)
+            canonical = _order(rows, _canonical=identity, _triangular=triangular, _gorenstein=scan)
+            selected.append(CensusClass(canonical, classify(canonical, search_cap), count))
+    return CensusResult(query, tuple(selected), {"raw_orders": raw_orders, "classes": len(classes), **tallies})
 
 
 def match_family(level: LevelMatrix):

@@ -9,9 +9,9 @@ period-1 case), and Bass means hereditary or Eichler of period two.
 
 The verdicts read one triangular conjugate, found in O(n^3) by sorting along
 a shortest-path preorder, so they take no size cap; ``classify`` takes it
-once and keeps it in its report, and a census class level carries the one
-read off its orbit.  Only its canonical form keeps a cap (a pruned search
-over placements, see ``levels.canonical_form``).
+once and keeps it in its report, and reads it, the Gorenstein scan and the
+shape off the marks of a census class.  Only its canonical form keeps a cap
+(a pruned search over placements, see ``levels.canonical_form``).
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
     invariant is in canonical (cyclic-min) rotation.  None when none matches.
     """
     _require_order(m)
+    if hasattr(m, "_eichler"):
+        return m._eichler  # a census triangular form carries the shape its class was filtered by
     rows = m.entries if is_upper_triangular(m) else _triangular_rows(m.entries, m.n)
     shape = None if rows is None else _staircase_shape(rows, m.n)
     return None if shape is None else shape.canonical()
@@ -253,7 +255,7 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
         canonical, _ = canonical_form(m, search_cap)
     except NotAnOrderError as exc:
         return ClassificationReport(is_order=False, order_violation=exc.witness)
-    gw, failing = _gorenstein_scan(m)
+    gw, failing = m._gorenstein if hasattr(m, "_gorenstein") else _gorenstein_scan(m.entries)
     triangular = triangular_form(m)
     shape = None if triangular is None else classify_eichler(triangular)
     hereditary, bass, reason = _bass_verdict(shape)

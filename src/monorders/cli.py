@@ -34,6 +34,8 @@ EXIT_DISAGREEMENT = 3
 
 BUDGET_ENV = "MONORDERS_BUDGET"
 BLOCK_INDENT = "  "  # before each row of a level block
+# every --format json line; its payload is a tree built for it, so no cycle check is needed
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def _positive_int(raw):
@@ -104,14 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the Bass verdict against the brute-force overorder oracle",
     )
+    p_classify.add_argument("--budget", type=_positive_int, default=None, help="oracle search budget")
     p_classify.add_argument(
-        "--budget", type=_positive_int, default=None, help="oracle search budget"
-    )
-    p_classify.add_argument(
-        "--cap",
-        type=_positive_int,
-        default=DEFAULT_SEARCH_CAP,
-        help="canonical-form size cap (default 8)",
+        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default 8)"
     )
     p_classify.set_defaults(func=cmd_classify)
 
@@ -120,9 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_dual)
     p_dual.set_defaults(func=cmd_dual)
 
-    p_proj = sub.add_parser(
-        "projective", help="test a column lattice type for projectivity"
-    )
+    p_proj = sub.add_parser("projective", help="test a column lattice type for projectivity")
     p_proj.add_argument("file")
     p_proj.add_argument(
         "--type",
@@ -171,11 +166,7 @@ def cmd_check(args) -> int:
     level = load_level(args.file)
     witness = order_violation(level)
     if args.format == "json":
-        payload = {
-            "is_order": witness is None,
-            "violation": witness,
-        }
-        print(json.dumps(payload))
+        print(_encode({"is_order": witness is None, "violation": witness}))
     else:
         print(f"order: {_yesno(witness is None)}")
         if witness is not None:
@@ -205,7 +196,7 @@ def cmd_classify(args) -> int:
         payload = report.to_dict()
         if oracle is not None:
             payload["oracle"] = oracle
-        print(json.dumps(payload))
+        print(_encode(payload))
     else:
         _print_report_text(level, report, oracle)
 
@@ -255,8 +246,7 @@ def cmd_dual(args) -> int:
     _require_order(level)
     dual = dual_level(level)
     if args.format == "json":
-        payload = {"raw": dual.raw.to_lists(), "normalized": dual.normalized.to_lists()}
-        print(json.dumps(payload))
+        print(_encode({"raw": dual.raw.to_lists(), "normalized": dual.normalized.to_lists()}))
     else:
         print("raw dual:")
         print(format_level_block(dual.raw))
@@ -280,14 +270,12 @@ def cmd_projective(args) -> int:
     form = normalize_positive(level)
     lattice_type = _parse_type_vector(args.type_vector, level.n)
     normalized = form.level
-    adjusted = tuple(
-        lattice_type[i] + form.applied.shifts[i] for i in range(level.n)
-    )
+    adjusted = tuple(t + s for t, s in zip(lattice_type, form.applied.shifts))
     try:
         witness = projective_witness(normalized, adjusted)
     except NotALatticeError as exc:
         if args.format == "json":
-            print(json.dumps({
+            print(_encode({
                 "is_lattice": False,
                 "is_projective": False,
                 "lattice_violation": exc.witness,
@@ -305,7 +293,7 @@ def cmd_projective(args) -> int:
             "normalized_level": normalized.to_lists(),
             "normalized_type": adjusted,
         }
-        print(json.dumps(payload))
+        print(_encode(payload))
     else:
         print("lattice: yes")
         if witness is None:
@@ -324,7 +312,7 @@ def cmd_overorders(args) -> int:
         payload = {"count": len(result), "bound": overorder_bound(level)}
         if args.dump:
             payload["members"] = [member.to_lists() for member in result]
-        print(json.dumps(payload))
+        print(_encode(payload))
     else:
         print(f"overorders: {len(result)} (search bound {overorder_bound(level)})")
         if args.dump:
@@ -351,8 +339,8 @@ def cmd_census(args) -> int:
             }
             if args.families:
                 line["family"] = _family_match(cls)
-            print(json.dumps(line))
-        print(json.dumps({"summary": result.totals}))
+            print(_encode(line))
+        print(_encode({"summary": result.totals}))
         return EXIT_OK
 
     print(f"census: n={args.n} bound={args.bound}"

@@ -100,11 +100,10 @@ def dual_level(m: LevelMatrix) -> DualLevel:
     return DualLevel(LevelMatrix(raw), LevelMatrix(normalized))
 
 
-def _gorenstein_scan(m):
+def _gorenstein_scan(rows):
     # per-row witnesses (c, least j) with m[i][k] + m[k][j] == c for all k, or the first
     # failing row, 1-based.  That holds iff m[k][j] - m[0][j] == m[i][0] - m[i][k] for all
     # k, with c = m[i][0] + m[0][j]: one lookup per row in a dict of column keys, O(n^2).
-    rows = m.entries
     columns = {}
     for j, column in enumerate(zip(*rows)):
         columns.setdefault(tuple([e - column[0] for e in column]), j)
@@ -124,13 +123,13 @@ def gorenstein_witnesses(m: LevelMatrix):
     negated row i equals column j up to the additive constant c(i).
     """
     _require_order(m)
-    return _gorenstein_scan(m)[0]
+    return _gorenstein_scan(m.entries)[0]
 
 
 def gorenstein_failing_row(m: LevelMatrix):
     """First 1-based row without a witness, or None for Gorenstein orders."""
     _require_order(m)
-    return _gorenstein_scan(m)[1]
+    return _gorenstein_scan(m.entries)[1]
 
 
 def is_gorenstein(m: LevelMatrix) -> bool:

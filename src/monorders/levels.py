@@ -15,9 +15,9 @@ constructor's validation of those rows.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
-:class:`WeylElement` and computed by :func:`conjugate`; the census orbits
-normalize each root's conjugate in one flat comprehension and permute it by
-one flat n*n index table per n (``_orbit_by_root``).  The convention used is
+:class:`WeylElement` and computed by :func:`conjugate`; the census normalizes
+by every root at once (``_root_normalizer``) and permutes each root's slice by
+one n*n index table per n (``_rooted_getters``).  The convention used is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -57,9 +57,9 @@ class LevelMatrix:
     Entries are stored as a tuple of row tuples and may be any integers;
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
-    level known to be an order carries the private mark ``_checked``, a census
-    class level also ``_canonical`` (the witness of ``canonical_form``) and
-    ``_triangular`` (``triangular_form``); none is a dataclass field.
+    level known to be an order carries the private mark ``_checked``; census
+    levels may carry ``_canonical``, ``_triangular``, ``_gorenstein`` and
+    ``_eichler``, the values of their readers.  No mark is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -128,9 +128,8 @@ class WeylElement:
             raise InvalidInputError("shifts and perm must have the same length")
         if not all(map(_is_plain_int, self.perm)) or sorted(self.perm) != list(range(n)):
             raise InvalidInputError(f"perm must be a permutation of range({n})")
-        for s in self.shifts:
-            if not _is_plain_int(s):
-                raise TypeError("shifts must be integers")
+        if not all(map(_is_plain_int, self.shifts)):
+            raise TypeError("shifts must be integers")
         if not isinstance(self.shifts, tuple) or not isinstance(self.perm, tuple):
             raise InvalidInputError("shifts and perm must be tuples")
 
@@ -311,14 +310,17 @@ def _rooted_getters(n):
     return (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in orders))
 
 
-def _orbit_by_root(rows, n):
-    # per root r, the flat rows normalized by row r with r moved to 0, and the set of
-    # their flat conjugates that fix 0, the ones sending r to 0: all share their entries
-    gets = _rooted_getters(n)
-    for r in range(n):
-        shifted = [(a, rows[r][a]) for a in (r, *range(r), *range(r + 1, n))]  # (index, shift) by new index
-        norm = tuple([rows[a][b] + sa - sb for a, sa in shifted for b, sb in shifted])
-        yield norm, {get(norm) for get in gets}
+@cache
+def _root_normalizer(n):
+    # flat order -> from n*n*r on, m[a][b] + m[r][a] - m[r][b] for a, b in (r, 0, .., r-1, r+1, ..):
+    # the level normalized by row r, r moved to 0.  One getter per term reads all roots at once;
+    # a last index 0 keeps each getter's value a tuple at n = 1
+    orders = [(r, *range(r), *range(r + 1, n)) for r in range(n)]
+    cells = [(order[0], a, b) for order in orders for a in order for b in order]
+    pair = itemgetter(*[n * a + b for r, a, b in cells], 0)
+    row_a = itemgetter(*[n * r + a for r, a, b in cells], 0)
+    row_b = itemgetter(*[n * r + b for r, a, b in cells], 0)
+    return lambda flat: tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
 
 
 def _swappable(rows, n, x, y):

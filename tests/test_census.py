@@ -29,7 +29,7 @@ from monorders import (
 from monorders.census import FILTERS, _census_box
 from monorders.cli import main
 from monorders.levelio import level_to_text
-from monorders.levels import _orbit_by_root, _orders_in_box, _rooted_getters
+from monorders.levels import _orders_in_box, _root_normalizer, _rooted_getters
 
 from conftest import (
     CENSUS_SIZES,
@@ -139,22 +139,28 @@ def test_class_levels_are_their_own_canonical_form(n, bound, census_result):
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
 def test_orbits_by_root_match_the_permutation_sweep(n, bound):
-    # per root r, one conjugation (shift by row r, move r to 0) and then the table's
-    # permutations fixing 0 give the flattened conjugates of the brute sweep whose
-    # sigma sends r to 0; they share the entries of the conjugated rows, so one max
-    # test per root finds the in-box conjugates of the sweep
+    # per root r, the normalizer's r-th n*n slice (shift by row r, move r to 0) and then the
+    # table's permutations fixing 0 give the flattened conjugates of the brute sweep whose
+    # sigma sends r to 0; they share the entries of the slice, so one max test per root
+    # finds the in-box conjugates of the sweep
+    _root_normalizer.cache_clear()
     _rooted_getters.cache_clear()
     for rows in _orders_in_box(*_census_box(n, bound)):
         sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(rows, n)]
-        by_root = list(_orbit_by_root(rows, n))
-        assert len(by_root) == n
-        for r, (norm, members) in enumerate(by_root):
+        norms = _root_normalizer(n)(sum(rows, ()))
+        # a tuple at every n, n = 1 included: one slice per root, and a last entry past them
+        assert isinstance(norms, tuple) and len(norms) == n ** 3 + 1
+        by_root = [norms[r * n * n:(r + 1) * n * n] for r in range(n)]
+        gets = _rooted_getters(n)
+        for r, norm in enumerate(by_root):
+            members = {get(norm) for get in gets}
             assert members == {flat for flat, sigma in sweep if sigma[r] == 0}
             assert {tuple(sorted(m)) for m in members} == {tuple(sorted(norm))}
         in_box = {flat for flat, _ in sweep if max(flat) <= bound}
-        assert set().union(*(members for norm, members in by_root if max(norm) <= bound)) == in_box
-    # one table per n, built once: (n-1)! getters, each taking n*n entries to n*n entries
-    assert _rooted_getters.cache_info().misses == 1
+        assert {get(norm) for norm in by_root if max(norm) <= bound for get in gets} == in_box
+    # one normalizer and one table per n, each built once: (n-1)! getters, each taking
+    # n*n entries to n*n entries
+    assert _root_normalizer.cache_info().misses == _rooted_getters.cache_info().misses == 1
     gets = _rooted_getters(n)
     assert len(gets) == math.factorial(n - 1)
     flat = tuple(range(n * n))
@@ -174,17 +180,46 @@ REPORT_VERDICTS = {
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
 def test_totals_and_selections_match_the_class_reports(n, bound, census_result):
-    # every total counts the classes whose report holds, and a selection of one
-    # or two filters keeps the classes whose report holds for all of them
+    # every total counts the classes whose report holds, and a selection of any nonempty
+    # set of filters keeps the classes whose report holds for all of them, with the
+    # totals of the census without filters
     result = census_result(n, bound)
     verdicts = [{name for name, holds in REPORT_VERDICTS.items() if holds(c.report)} for c in result.classes]
     assert set(REPORT_VERDICTS) == set(FILTERS)
     for name in FILTERS:
         assert result.totals[name] == sum(name in passed for passed in verdicts)
-    for size in (1, 2):
+    for size in range(1, len(FILTERS) + 1):
         for names in itertools.combinations(sorted(FILTERS), size):
-            selected = census(CensusQuery(n, bound, names)).classes
-            assert selected == tuple(c for c, passed in zip(result.classes, verdicts) if passed >= set(names))
+            selected = census_result(n, bound, names)
+            assert selected.totals == result.totals
+            assert selected.classes == tuple(c for c, passed in zip(result.classes, verdicts) if passed >= set(names))
+
+
+def test_census_classifies_only_the_classes_it_returns(monkeypatch):
+    # the filters read verdicts computed before any class level is built, so a filtered
+    # census classifies the 21 Gorenstein classes of (3,10) and no other; unfiltered, all 781.
+    # Each verdict is computed once per class, in every module that binds its kernel: one
+    # Gorenstein scan per class, and one staircase shape per Gorenstein class with a form
+    reports = [c.report for c in census(CensusQuery(3, 10)).classes]
+    shaped = sum(report.is_gorenstein and report.triangular is not None for report in reports)
+    census_module = importlib.import_module("monorders.census")
+    calls = []
+    monkeypatch.setattr(census_module, "classify", lambda level, cap: calls.append(level) or classify(level, cap))
+    kernels = {"_gorenstein_scan": [], "_staircase_shape": []}
+    for module in (census_module, importlib.import_module("monorders.classify")):
+        for name, seen in kernels.items():
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, kernel=kernel, seen=seen: seen.append(args) or kernel(*args))
+    for filters, returned in (({"gorenstein"}, 21), ((), 781)):
+        calls.clear()
+        for seen in kernels.values():
+            seen.clear()
+        result = census(CensusQuery(3, 10, filters))
+        assert len(result.classes) == returned == len(calls)
+        assert [c.canonical for c in result.classes] == calls
+        assert len(kernels["_gorenstein_scan"]) == result.totals["classes"] == len(reports)
+        assert len(kernels["_staircase_shape"]) == shaped > 0
+    assert result.totals["gorenstein"] == 21
 
 
 def test_census_makes_no_triangular_search(monkeypatch):

@@ -425,7 +425,9 @@ class TestSearchCap:
             raise AssertionError("an orbit or an orbit table was built")
 
         # the census module, not the census function that the package exports under its name
-        monkeypatch.setattr(importlib.import_module("monorders.census"), "_orbit_by_root", scan)
+        census_module = importlib.import_module("monorders.census")
+        monkeypatch.setattr(census_module, "_root_normalizer", scan)
+        monkeypatch.setattr(census_module, "_rooted_getters", scan)
         monkeypatch.setattr("monorders.levels._rooted_getters", scan)
         for argv, size, cap in ((["census", "4", "--cap", "3"], 4, 3), (["census", "5000", "--bound", "0"], 5000, 8)):
             assert main(argv) == EXIT_INPUT
@@ -519,13 +521,14 @@ class TestCensus:
         census_module = importlib.import_module("monorders.census")
         calls = []
         for module in (census_module, importlib.import_module("monorders.levels")):
-            orbit_by_root = module._orbit_by_root
+            root_normalizer = module._root_normalizer
 
-            def counting(*args, orbit_by_root=orbit_by_root):
-                calls.append(args)
-                return orbit_by_root(*args)
+            def counting(n, root_normalizer=root_normalizer):
+                # each call of the normalizer it returns starts one orbit
+                normalize = root_normalizer(n)
+                return lambda flat: calls.append(flat) or normalize(flat)
 
-            monkeypatch.setattr(module, "_orbit_by_root", counting)
+            monkeypatch.setattr(module, "_root_normalizer", counting)
         matched = []
         monkeypatch.setattr(cli, "match_family", lambda level: matched.append(level))
         main(["census", "4", "--bound", "2", "--format", "json"])

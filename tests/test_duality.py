@@ -193,9 +193,12 @@ class TestGorenstein:
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
 def test_hashed_scan_matches_the_brute_scan_on_census_classes(n, bound, census_result):
-    # the same least column, the same c and the same failing row as the O(n^3) scan
+    # the same least column, the same c and the same failing row as the O(n^3) scan, and
+    # the same as the report that classify reads off the class level's scan mark
     for cls in census_result(n, bound).classes:
-        assert _gorenstein_scan(cls.canonical) == brute_gorenstein_scan(cls.canonical), cls.canonical
+        expected = brute_gorenstein_scan(cls.canonical)
+        assert _gorenstein_scan(cls.canonical.entries) == expected, cls.canonical
+        assert (cls.report.gorenstein_witnesses, cls.report.gorenstein_failing_row) == expected
 
 
 def test_hashed_scan_matches_the_brute_scan_on_random_orders():
@@ -208,7 +211,7 @@ def test_hashed_scan_matches_the_brute_scan_on_random_orders():
             m = random_order(rng, n, rng.randint(0, 4), zero_first_row=rng.random() < 0.5)
             for level in (m, conjugate(m, random_weyl(rng, n))):
                 expected = brute_gorenstein_scan(level)
-                assert _gorenstein_scan(level) == expected, level
+                assert _gorenstein_scan(level.entries) == expected, level
                 failing += expected[0] is None
     assert failing > 0
 
