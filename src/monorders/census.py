@@ -5,10 +5,12 @@ elsewhere, come from the box search that ``overorders`` also uses.  Orbit
 marking folds them into classes: the n! normalized conjugates of a class's
 first raw order give its count, its canonical level (the least conjugate) and
 its triangular form (the least one with a zero upper triangle), and its other
-raw orders are skipped.  Three getters per n normalize a flat raw order by
-every root at once, and (n-1)! more read each root's conjugates off its slice.
-The filters read verdicts that cost O(n^2) per class; only a class they keep
-is built as a level and classified, and its marks carry them to the report.
+raw orders are skipped.  ``_orbit_tables`` builds, once per n, the getters
+that normalize a flat raw order by every root at once, the (n-1)! that read
+each root's conjugates off its slice and the one that reads a member's strict
+upper triangle; only this module knows the flat layout.  The filters read
+verdicts that cost O(n^2) per class; only a class they keep is built as a
+level and classified, and its marks carry them to the report.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -16,9 +18,11 @@ family table.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import cache
+from operator import add, itemgetter, sub
 
 from .errors import InvalidInputError, NotAnOrderError
 from .classify import ClassificationReport, _bass_verdict, _staircase_shape, classify
@@ -32,8 +36,6 @@ from .levels import (
     _is_plain_int,
     _order,
     _orders_in_box,
-    _root_normalizer,
-    _rooted_getters,
     canonical_form,
 )
 from .oracle import DEFAULT_BUDGET, _check_budget
@@ -100,29 +102,46 @@ def _unflatten(flat, n):
     return tuple([flat[i:i + n] for i in range(0, n * n, n)])
 
 
+@cache
+def _orbit_tables(n):
+    """(normalize, roots, gets, upper, zeros): the census index tables of size n, built once and kept."""
+    # from n*n*r on, m[a][b] + m[r][a] - m[r][b] for a, b in (r, 0, .., r-1, r+1, ..): the level
+    # normalized by row r, r moved to 0.  One getter per term reads all roots at once;
+    # a last index 0 keeps each getter's value a tuple at n = 1
+    orders = [(r, *range(r), *range(r + 1, n)) for r in range(n)]
+    cells = [(order[0], a, b) for order in orders for a in order for b in order]
+    pair = itemgetter(*[n * a + b for r, a, b in cells], 0)
+    row_a = itemgetter(*[n * r + a for r, a, b in cells], 0)
+    row_b = itemgetter(*[n * r + b for r, a, b in cells], 0)
+    normalize = lambda flat: tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
+    roots = [slice(start, start + n * n) for start in range(0, n ** 3, n * n)]
+    # one flat n*n index getter per permutation fixing 0; the identity's is tuple,
+    # since at n = 1 an itemgetter of one index returns an entry, not a tuple
+    fixing_0 = ((0, *tail) for tail in itertools.islice(itertools.permutations(range(1, n)), 1, None))
+    gets = (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in fixing_0))
+    # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
+    # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
+    upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
+    return normalize, roots, gets, upper, upper((0,) * (n * n))
+
+
 def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = DEFAULT_SEARCH_CAP) -> CensusResult:
     """Run the census described by ``query``.
 
     The budget bounds the raw box, not its pruned search: BudgetExceededError
     is raised up front when (bound+1)**((n-1)**2) exceeds it, and then
     SearchTooLargeError when n exceeds ``search_cap``.  Deterministic: classes
-    are sorted by their canonical level; the totals count every class.
+    are sorted by their canonical level; the totals count every class, and
+    ``raw_orders`` sums the class counts.
     """
     n, bound = query.n, query.bound
     _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
     _check_search_cap(n, search_cap)
 
-    # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
-    # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
-    upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
-    zeros = upper((0,) * (n * n))
-    normalize, gets = _root_normalizer(n), _rooted_getters(n)
-    roots = [slice(start, start + n * n) for start in range(0, n ** 3, n * n)]
+    normalize, roots, gets, upper, zeros = _orbit_tables(n)
     classes = {}  # flat least member of an orbit -> (class size, least upper triangular member)
     pending = set()  # flat raw orders of a class already counted, not yet enumerated
-    raw_orders = 0
     for rows in _orders_in_box(*_census_box(n, bound)):
-        raw_orders += 1
         flat = sum(rows, ())
         if flat in pending:
             pending.remove(flat)
@@ -141,6 +160,8 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
         classes[min(orbit)] = len(in_box), min(upper_members, default=None)
         pending |= in_box - {flat}
 
+    # every raw order is an in-box member of exactly one class, so the counts sum to the raw orders
+    raw_orders = sum(count for count, _ in classes.values())
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
     tallies = dict.fromkeys(FILTERS, 0)
     selected = []

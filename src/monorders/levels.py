@@ -15,9 +15,7 @@ constructor's validation of those rows.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
-:class:`WeylElement` and computed by :func:`conjugate`; the census normalizes
-by every root at once (``_root_normalizer``) and permutes each root's slice by
-one n*n index table per n (``_rooted_getters``).  The convention used is
+:class:`WeylElement` and computed by :func:`conjugate`.  The convention used is
 
     conjugate(m, (shifts, perm))[perm[i]][perm[j]] = m[i][j] + shifts[i] - shifts[j]
 
@@ -34,10 +32,7 @@ repeats a scan; the census gives each class level its marks before handing it ou
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache
-from operator import add, itemgetter, sub
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -300,27 +295,6 @@ def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:
 def _check_search_cap(n, search_cap):
     if n > search_cap:
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
-
-
-@cache
-def _rooted_getters(n):
-    # one flat n*n index getter per permutation fixing 0; the identity's is tuple,
-    # since at n = 1 an itemgetter of one index returns an entry, not a tuple
-    orders = ((0, *tail) for tail in itertools.islice(itertools.permutations(range(1, n)), 1, None))
-    return (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in orders))
-
-
-@cache
-def _root_normalizer(n):
-    # flat order -> from n*n*r on, m[a][b] + m[r][a] - m[r][b] for a, b in (r, 0, .., r-1, r+1, ..):
-    # the level normalized by row r, r moved to 0.  One getter per term reads all roots at once;
-    # a last index 0 keeps each getter's value a tuple at n = 1
-    orders = [(r, *range(r), *range(r + 1, n)) for r in range(n)]
-    cells = [(order[0], a, b) for order in orders for a in order for b in order]
-    pair = itemgetter(*[n * a + b for r, a, b in cells], 0)
-    row_a = itemgetter(*[n * r + a for r, a, b in cells], 0)
-    row_b = itemgetter(*[n * r + b for r, a, b in cells], 0)
-    return lambda flat: tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
 
 
 def _swappable(rows, n, x, y):

@@ -26,10 +26,10 @@ from monorders import (
     order_violation,
     triangular_form,
 )
-from monorders.census import FILTERS, _census_box
+from monorders.census import FILTERS, _census_box, _orbit_tables
 from monorders.cli import main
 from monorders.levelio import level_to_text
-from monorders.levels import _orders_in_box, _root_normalizer, _rooted_getters
+from monorders.levels import _orders_in_box
 
 from conftest import (
     CENSUS_SIZES,
@@ -116,7 +116,10 @@ def test_orbit_marking_matches_canonical_fold(n, bound, census_result):
     # class the least triangular member of its orbit: the form of the brute sweep and of the
     # search on an unmarked copy, whose report equals the class's field by field
     result = census_result(n, bound)
-    assert {c.canonical: c.count for c in result.classes} == brute_census_counts(n, bound)
+    counts = brute_census_counts(n, bound)
+    assert {c.canonical: c.count for c in result.classes} == counts
+    # raw_orders sums the class counts: every raw order of the box is counted in one class
+    assert result.totals["raw_orders"] == sum(counts.values())
     triangular = 0
     for cls in result.classes:
         copy = LevelMatrix(cls.canonical.entries)
@@ -142,26 +145,29 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
     # per root r, the normalizer's r-th n*n slice (shift by row r, move r to 0) and then the
     # table's permutations fixing 0 give the flattened conjugates of the brute sweep whose
     # sigma sends r to 0; they share the entries of the slice, so one max test per root
-    # finds the in-box conjugates of the sweep
-    _root_normalizer.cache_clear()
-    _rooted_getters.cache_clear()
+    # finds the in-box conjugates of the sweep. The triangle getter reads zeros exactly on
+    # the upper triangular conjugates
+    _orbit_tables.cache_clear()
     for rows in _orders_in_box(*_census_box(n, bound)):
         sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(rows, n)]
-        norms = _root_normalizer(n)(sum(rows, ()))
+        normalize, roots, gets, upper, zeros = _orbit_tables(n)
+        norms = normalize(sum(rows, ()))
         # a tuple at every n, n = 1 included: one slice per root, and a last entry past them
         assert isinstance(norms, tuple) and len(norms) == n ** 3 + 1
         by_root = [norms[r * n * n:(r + 1) * n * n] for r in range(n)]
-        gets = _rooted_getters(n)
+        assert [norms[root] for root in roots] == by_root
         for r, norm in enumerate(by_root):
             members = {get(norm) for get in gets}
             assert members == {flat for flat, sigma in sweep if sigma[r] == 0}
             assert {tuple(sorted(m)) for m in members} == {tuple(sorted(norm))}
         in_box = {flat for flat, _ in sweep if max(flat) <= bound}
         assert {get(norm) for norm in by_root if max(norm) <= bound for get in gets} == in_box
-    # one normalizer and one table per n, each built once: (n-1)! getters, each taking
-    # n*n entries to n*n entries
-    assert _root_normalizer.cache_info().misses == _rooted_getters.cache_info().misses == 1
-    gets = _rooted_getters(n)
+        for flat, _ in sweep:
+            strict_upper = [flat[n * i + j] for i in range(n) for j in range(i + 1, n)]
+            assert (upper(flat) == zeros) == (not any(strict_upper))
+    # one table per n, built once: (n-1)! getters, each taking n*n entries to n*n entries
+    assert _orbit_tables.cache_info().misses == 1
+    gets = _orbit_tables(n)[2]
     assert len(gets) == math.factorial(n - 1)
     flat = tuple(range(n * n))
     assert all(sorted(get(flat)) == list(flat) for get in gets)

@@ -426,9 +426,7 @@ class TestSearchCap:
 
         # the census module, not the census function that the package exports under its name
         census_module = importlib.import_module("monorders.census")
-        monkeypatch.setattr(census_module, "_root_normalizer", scan)
-        monkeypatch.setattr(census_module, "_rooted_getters", scan)
-        monkeypatch.setattr("monorders.levels._rooted_getters", scan)
+        monkeypatch.setattr(census_module, "_orbit_tables", scan)
         for argv, size, cap in ((["census", "4", "--cap", "3"], 4, 3), (["census", "5000", "--bound", "0"], 5000, 8)):
             assert main(argv) == EXIT_INPUT
             captured = capsys.readouterr()
@@ -520,15 +518,14 @@ class TestCensus:
         # the package exports the census function under the submodule's name
         census_module = importlib.import_module("monorders.census")
         calls = []
-        for module in (census_module, importlib.import_module("monorders.levels")):
-            root_normalizer = module._root_normalizer
+        orbit_tables = census_module._orbit_tables
 
-            def counting(n, root_normalizer=root_normalizer):
-                # each call of the normalizer it returns starts one orbit
-                normalize = root_normalizer(n)
-                return lambda flat: calls.append(flat) or normalize(flat)
+        def counting(n):
+            # each call of the normalizer it returns starts one orbit
+            normalize, *tables = orbit_tables(n)
+            return (lambda flat: calls.append(flat) or normalize(flat), *tables)
 
-            monkeypatch.setattr(module, "_root_normalizer", counting)
+        monkeypatch.setattr(census_module, "_orbit_tables", counting)
         matched = []
         monkeypatch.setattr(cli, "match_family", lambda level: matched.append(level))
         main(["census", "4", "--bound", "2", "--format", "json"])
