@@ -22,8 +22,7 @@ from .duality import dual_level, projective_witness
 from .families import load_families
 from .levelio import _INT, _parse_int, load_level
 from .levels import (
-    DEFAULT_SEARCH_CAP, _check_search_cap, _require_order, _violation_text,
-    is_order, normalize_positive, order_violation,
+    DEFAULT_SEARCH_CAP, _require_order, _violation_text, normalize_positive, order_violation,
 )
 from .oracle import DEFAULT_BUDGET, bass_oracle, overorder_bound, overorders
 
@@ -177,15 +176,10 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     level = load_level(args.file)
     budget = _budget(args.budget)
-    answer = None
-    if args.oracle and is_order(level):
-        # classify's cap refusal first, then the oracle's, before any classifying
-        _check_search_cap(level.n, args.cap)
-        answer = bass_oracle(level, budget)
     report = classify(level, args.cap)
     oracle = None
-    if answer is not None:
-        verdict, witness = answer
+    if args.oracle and report.is_order:
+        verdict, witness = bass_oracle(level, budget)
         oracle = {
             "is_bass": verdict,
             "agrees": verdict == report.is_bass,

@@ -89,11 +89,18 @@ class LevelMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         """Row i, 1-based."""
-        return self.entries[i - 1]
+        return self.entries[self._position(i)]
 
     def column(self, j: int) -> tuple[int, ...]:
         """Column j, 1-based."""
-        return tuple(row[j - 1] for row in self.entries)
+        position = self._position(j)
+        return tuple(row[position] for row in self.entries)
+
+    def _position(self, index):
+        # the 0-based position of a 1-based index; 0 and negatives would wrap around
+        if not 1 <= index <= self.n:
+            raise IndexError(f"index {index} is outside 1..{self.n}")
+        return index - 1
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -309,16 +316,6 @@ def _swappable(rows, n, x, y):
     return all(rx[z] - ry[z] == d == rows[z][y] - rows[z][x] for z in range(n) if z != x and z != y)
 
 
-def _respects_classes(prefix, lesser):
-    # every placed index follows the smaller members of its transposition class
-    placed = set()
-    for a in prefix:
-        if not lesser[a] <= placed:
-            return False
-        placed.add(a)
-    return True
-
-
 def _canonical_sigma(rows, n):
     """Least sigma whose normalized permutation conjugate of ``rows`` is row-major lex-min.
 
@@ -333,16 +330,22 @@ def _canonical_sigma(rows, n):
     depth has the same rows so far, so at each depth only the children with
     the least head, and among them the least sorted tail, are kept; the least
     sigma is then among the leaves.  Transpositions that fix the level (see
-    ``_swappable``) form classes whose members can be placed in increasing
-    order without losing that sigma, which cuts the zero level from n!
-    leaves to one.  The classes are built only when a depth keeps more than
-    one node.
+    ``_swappable``) split the indices into classes, built once before the
+    first position.  A root, or a candidate at any later position, is taken
+    only when the smaller members of its class are all placed.  No leaf's
+    level is lost: a candidate x with an unplaced smaller member swaps with
+    the least such y, the swap fixes the level, so the node that places y
+    builds the same rows and follows the rule.  Nor is the least sigma: two
+    members placed out of order swap to a smaller sigma.  The rule cuts the
+    zero level from n! leaves to one, and a level whose indices are all
+    interchangeable to one child per depth.
     """
     everyone = tuple(range(n))
-    # one node per root a_0; with no keys yet every other index is a
-    # candidate, and its head is its pair sum with a_0
-    nodes = [((r,), everyone[:r] + everyone[r + 1:], ((),) * (n - 1)) for r in everyone]
-    lesser = None
+    # lesser[x] holds the smaller members of x's class; x is placed only after them
+    lesser = [frozenset(y for y in range(x) if _swappable(rows, n, x, y)) for x in everyone]
+    # one node per root a_0 that is least in its class; with no keys yet every
+    # other index is a candidate, and its head is its pair sum with a_0
+    nodes = [((r,), everyone[:r] + everyone[r + 1:], ((),) * (n - 1)) for r in everyone if not lesser[r]]
     while nodes[0][1]:  # an index is left to place
         low = min(nodes[0][2])
         best = None
@@ -350,7 +353,7 @@ def _canonical_sigma(rows, n):
         for prefix, rest, keys in nodes:
             base = rows[prefix[0]]
             for i, x in enumerate(rest):
-                if keys[i] != low:
+                if keys[i] != low or not lesser[x].isdisjoint(rest):
                     continue
                 rx = rows[x]
                 bx = base[x]
@@ -376,10 +379,6 @@ def _canonical_sigma(rows, n):
                 nodes = [(prefix + (x,), rest, keys)]
             elif tail == best:
                 nodes.append((prefix + (x,), rest, keys))
-        if len(nodes) > 1:
-            if lesser is None:
-                lesser = [frozenset(y for y in range(x) if _swappable(rows, n, x, y)) for x in everyone]
-            nodes = [node for node in nodes if _respects_classes(node[0], lesser)]
         if len(nodes) == 1 and len(set(best)) == len(best):
             break  # one node whose keys fix the rest
     # order[p] is the index at position p; sigma is its inverse

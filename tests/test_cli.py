@@ -549,6 +549,13 @@ class TestCensus:
 
 
 class TestHugeSearchSizes:
+    @staticmethod
+    def _fives(tmp_path):
+        # the 100x100 level with every off-diagonal entry 5
+        n = 100
+        text = f"{n}\n" + "".join(" ".join("0" if i == j else "5" for j in range(n)) + "\n" for i in range(n))
+        return write_level(tmp_path, "fives.lvl", text)
+
     @pytest.mark.parametrize(
         "argv,what",
         [
@@ -562,9 +569,7 @@ class TestHugeSearchSizes:
     def test_refused_without_printing_the_size(self, argv, what, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
         # 11**4950 has 5,155 digits; 2**(99999**2) has about 3e9
-        n = 100
-        text = f"{n}\n" + "".join(" ".join("0" if i == j else "5" for j in range(n)) + "\n" for i in range(n))
-        path = write_level(tmp_path, "fives.lvl", text)
+        path = self._fives(tmp_path)
         argv = [path if arg == "LEVEL" else arg for arg in argv]
         start = time.perf_counter()
         assert main(argv) == EXIT_INPUT
@@ -572,6 +577,20 @@ class TestHugeSearchSizes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {what} of more than 4300 digits exceeds the budget 10000000\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_classified_within_a_second_when_the_cap_allows(self, fmt, tmp_path, capsys):
+        # every index is interchangeable, so the canonical search builds one child per depth
+        start = time.perf_counter()
+        assert main(["classify", self._fives(tmp_path), "--cap", "200", "--format", fmt]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # the canonical form is the first-row normalization: row 2 reads 10, 0, 5, ...
+        if fmt == "json":
+            assert json.loads(captured.out)["canonical"][1][:3] == [10, 0, 5]
+        else:
+            assert "\norder: yes\ncanonical:\n" in captured.out
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
     def test_a_digit_limit_lowered_at_run_time_applies(self, capsys, monkeypatch):

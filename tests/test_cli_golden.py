@@ -4,7 +4,8 @@ Each command of ``golden_commands()`` runs in-process through ``cli.main``.
 The sha256 of its (exit code, stdout, stderr) must equal the one recorded for
 it in ``cli_golden.json``, next to this file.  The list covers every
 subcommand in both formats, ``classify --oracle``, ``overorders --dump``,
-census with filters, ``--dump`` and ``--families``, and the refusals:
+census with filters, ``--dump`` and ``--families``, ``classify`` of a
+100 x 100 level under a raised ``--cap``, and the refusals:
 non-orders, over-cap, over-budget, over-long integers, a missing file and
 the text reader's refusals, each with its line and column.
 The level files are written to a temporary directory, whose path is replaced
@@ -18,7 +19,8 @@ output is intended, record the file again from the root of a checkout with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
-and name every command whose hash changed in the change's notes.
+which prints each command whose hash it added or changed, and the count of
+unchanged ones; name every printed command in the change's notes.
 """
 
 import contextlib
@@ -59,6 +61,9 @@ def _level_files():
     files["sec52.lvl"] = "4\n0 0 0 0\n1 0 1 0\n1 1 0 0\n2 1 1 0\n"
     files["big2.lvl"] = "2\n0 0\n3 0\n"
     files["zero9.lvl"] = "9\n" + "0 0 0 0 0 0 0 0 0\n" * 9
+    # every off-diagonal entry 5, classified under a raised cap
+    fives = "".join(" ".join("0" if i == j else "5" for j in range(100)) + "\n" for i in range(100))
+    files["fives100.lvl"] = "100\n" + fives
     files["bad_diag.lvl"] = "2\n1 0\n0 0\n"
     files["bad_tri.lvl"] = "3\n0 0 0\n0 0 0\n1 0 0\n"
     files["bad_tri4.json"] = '{"n": 4, "m": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2], [3, 0, 0, 0]]}'
@@ -133,6 +138,8 @@ def golden_commands():
         ["classify", "zero9.lvl", "--format", "json"],
         ["classify", "zero9.lvl", "--cap", "9"],
         ["classify", "zero9.lvl", "--oracle"],
+        ["classify", "fives100.lvl", "--cap", "200"],
+        ["classify", "fives100.lvl", "--cap", "200", "--format", "json"],
         ["check", "zero9.lvl"],
         ["dual", "zero9.lvl", "--format", "json"],
         ["overorders", "zero9.lvl"],
@@ -201,10 +208,18 @@ def test_cli_output_matches_the_recorded_hashes():
 
 
 def record():
+    """Record every hash again; print each command whose hash is new or changed."""
     files, commands = golden_commands()
     digests = run_commands(files, commands)
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(digests)} commands in {GOLDEN}")
+    for line, digest in digests.items():
+        if line not in previous:
+            print(f"added: {line}")
+        elif previous[line] != digest:
+            print(f"changed: {line}")
+    unchanged = sum(previous.get(line) == digest for line, digest in digests.items())
+    print(f"recorded {len(digests)} commands in {GOLDEN}, {unchanged} of them unchanged")
 
 
 if __name__ == "__main__":

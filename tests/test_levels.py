@@ -104,6 +104,15 @@ class TestLevelMatrix:
         assert m.row(1) == (0, 1)
         assert m.column(1) == (0, 2)
 
+    @pytest.mark.parametrize("index", [0, -1, 3])
+    def test_row_column_refuse_an_index_outside_one_to_n(self, index):
+        # 0 and -1 would otherwise wrap around to the last rows and columns
+        m = M([[0, 1], [2, 0]])
+        with pytest.raises(IndexError, match=rf"^index {index} is outside 1\.\.2$"):
+            m.row(index)
+        with pytest.raises(IndexError, match=rf"^index {index} is outside 1\.\.2$"):
+            m.column(index)
+
     def test_hashable_and_equal(self):
         assert M([[0, 1], [2, 0]]) == M([[0, 1], [2, 0]])
         assert len({M([[0]]), M([[0]])}) == 1
@@ -502,6 +511,42 @@ def _canonical_inputs(name):
 def test_canonical_form_matches_permutation_sweep(name):
     for m in _canonical_inputs(name):
         assert canonical_form(m) == brute_canonical_form(m), m
+
+
+def _fives(n):
+    # every off-diagonal entry 5: each index is interchangeable with every other
+    return M([[5 * (i != j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_canonical_form_is_a_class_invariant_past_the_sweep(n):
+    # no n! sweep finishes here: seeded conjugates must share one form, and
+    # each witness must carry its input onto it
+    rng = random.Random(f"invariant-{n}")
+    for m in _symmetric_levels(rng, n) + [_fives(n)]:
+        forms = set()
+        for level in [m] + [conjugate(m, random_weyl(rng, n)) for _ in range(3)]:
+            form, witness = canonical_form(level, search_cap=n)
+            assert conjugate(level, witness) == form, level
+            forms.add(form)
+        assert len(forms) == 1, m
+
+
+def test_interchangeable_indices_test_their_classes_once(monkeypatch):
+    # the 100x100 all-fives level needs no permutation: its form is its
+    # first-row normalization, which is its own form with the identity
+    # witness.  Its transposition classes are built before the first
+    # position, one test per pair, and never again
+    n = 100
+    fives = _fives(n)
+    normalized = normalize_positive(fives)
+    assert canonical_form(fives, search_cap=200) == (normalized.level, normalized.applied)
+    levels = importlib.import_module("monorders.levels")
+    swappable = levels._swappable
+    pairs = []
+    monkeypatch.setattr(levels, "_swappable", lambda rows, n, x, y: pairs.append((x, y)) or swappable(rows, n, x, y))
+    assert canonical_form(normalized.level, search_cap=200) == (normalized.level, WeylElement.identity(n))
+    assert len(pairs) == n * (n - 1) // 2
 
 
 class TestUpperTriangular:
