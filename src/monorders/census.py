@@ -6,11 +6,13 @@ marking folds them into classes: the n! normalized conjugates of a class's
 first raw order give its count, its canonical level (the least conjugate) and
 its triangular form (the least one with a zero upper triangle), and its other
 raw orders are skipped.  ``_orbit_tables`` builds, once per n, the getters
-that normalize a flat raw order by every root at once, the (n-1)! that read
-each root's conjugates off its slice and the one that reads a member's strict
-upper triangle; only this module knows the flat layout.  The filters read
-verdicts that cost O(n^2) per class; only a class they keep is built as a
-level and classified, and its marks carry them to the report.
+that normalize a flat raw order by every root (root 0 leaves it as it is), the
+(n-1)! that permute a root's normalization by the permutations fixing 0, and
+the one that reads a member's strict upper triangle; only this module knows
+the flat layout.  Those permutations form a group, so a root whose
+normalization the orbit already holds adds no member and is skipped.  The
+filters read verdicts that cost O(n^2) per class; only a class they keep is
+built as a level and classified, and its marks carry them to the report.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -105,18 +107,16 @@ def _unflatten(flat, n):
 @cache
 def _orbit_tables(n):
     """(normalize, roots, gets, upper, zeros): the census index tables of size n, built once and kept."""
-    # from n*n*r on, m[a][b] + m[r][a] - m[r][b] for a, b in (r, 0, .., r-1, r+1, ..): the level
-    # normalized by row r, r moved to 0.  One getter per term reads all roots at once;
-    # a last index 0 keeps each getter's value a tuple at n = 1
-    orders = [(r, *range(r), *range(r + 1, n)) for r in range(n)]
+    # from n*n*r on, the level normalized by row r, r moved to 0: m[a][b] + m[r][a] - m[r][b] for a, b in
+    # (r, 0, .., r-1, r+1, ..).  Root 0's is the raw order; two last indices 0 keep each getter a tuple at n = 1
+    orders = [(r, *range(r), *range(r + 1, n)) for r in range(1, n)]
     cells = [(order[0], a, b) for order in orders for a in order for b in order]
-    pair = itemgetter(*[n * a + b for r, a, b in cells], 0)
-    row_a = itemgetter(*[n * r + a for r, a, b in cells], 0)
-    row_b = itemgetter(*[n * r + b for r, a, b in cells], 0)
-    normalize = lambda flat: tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
+    pair = itemgetter(*[n * a + b for r, a, b in cells], 0, 0)
+    row_a = itemgetter(*[n * r + a for r, a, b in cells], 0, 0)
+    row_b = itemgetter(*[n * r + b for r, a, b in cells], 0, 0)
+    normalize = lambda flat: flat + tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
     roots = [slice(start, start + n * n) for start in range(0, n ** 3, n * n)]
-    # one flat n*n index getter per permutation fixing 0; the identity's is tuple,
-    # since at n = 1 an itemgetter of one index returns an entry, not a tuple
+    # one n*n index getter per permutation fixing 0; tuple for the identity (a 1-index itemgetter returns an entry)
     fixing_0 = ((0, *tail) for tail in itertools.islice(itertools.permutations(range(1, n)), 1, None))
     gets = (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in fixing_0))
     # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
@@ -151,11 +151,12 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
         orbit = set()
         for root in roots:
             norm = norms[root]
-            members = {get(norm) for get in gets}  # the conjugates sending this root to 0
-            # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
-            if max(norm) <= bound:
-                in_box |= members
-            orbit |= members
+            if norm not in orbit:  # else a permutation fixing 0 maps an earlier root's onto it: same members
+                members = {get(norm) for get in gets}  # the conjugates sending this root to 0
+                # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
+                if max(norm) <= bound:
+                    in_box |= members
+                orbit |= members
         upper_members = [member for member in orbit if upper(member) == zeros]
         classes[min(orbit)] = len(in_box), min(upper_members, default=None)
         pending |= in_box - {flat}
@@ -165,8 +166,7 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
     tallies = dict.fromkeys(FILTERS, 0)
     selected = []
-    for least in sorted(classes):  # flat order is row-major order
-        count, upper_member = classes[least]
+    for least, (count, upper_member) in sorted(classes.items()):  # flat order is row-major order
         rows = _unflatten(least, n)
         scan = _gorenstein_scan(rows)
         form = None if upper_member is None else _unflatten(upper_member, n)

@@ -101,12 +101,12 @@ def dual_level(m: LevelMatrix) -> DualLevel:
 
 
 def _gorenstein_scan(rows):
-    # per-row witnesses (c, least j) with m[i][k] + m[k][j] == c for all k, or the first
-    # failing row, 1-based.  That holds iff m[k][j] - m[0][j] == m[i][0] - m[i][k] for all
-    # k, with c = m[i][0] + m[0][j]: one lookup per row in a dict of column keys, O(n^2).
+    # per-row witnesses (c, least j) with m[i][k] + m[k][j] == c for all k, or the first failing row,
+    # 1-based.  That holds iff m[k][j] - m[0][j] == m[i][0] - m[i][k] for all k, with c = m[i][0] + m[0][j]:
+    # one lookup per row in a dict of column keys, O(n^2); a column whose first entry is 0 is its own key
     columns = {}
     for j, column in enumerate(zip(*rows)):
-        columns.setdefault(tuple([e - column[0] for e in column]), j)
+        columns.setdefault(column if column[0] == 0 else tuple([e - column[0] for e in column]), j)
     witnesses = []
     for i, ri in enumerate(rows):
         j = columns.get(tuple([ri[0] - e for e in ri]))

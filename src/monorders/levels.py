@@ -97,9 +97,9 @@ class LevelMatrix:
         return tuple(row[position] for row in self.entries)
 
     def _position(self, index):
-        # the 0-based position of a 1-based index; 0 and negatives would wrap around
-        if not 1 <= index <= self.n:
-            raise IndexError(f"index {index} is outside 1..{self.n}")
+        # the 0-based position of a 1-based plain-int index; 0 and negatives would wrap around
+        if not (_is_plain_int(index) and 1 <= index <= self.n):
+            raise IndexError(f"index {index!r} is not an integer in 1..{self.n}")
         return index - 1
 
     def to_lists(self) -> list[list[int]]:

@@ -95,6 +95,9 @@ BOXES = {
     "triangular-4-3": triangular_box(4, 3),
     "overorders-sec52": overorder_box(SEC52_ROWS),
     "overorders-staircase4": overorder_box(STAIRCASES[4]),
+    # the leaf assembly at both ends: n = 5 with negative lows, and n = 1, whose one pair is the placeholder
+    "overorders-5": overorder_box(((0, 0, 0, 0, 1),) * 3 + ((1, 1, 1, 0, 2), (0, 0, 0, 0, 0))),
+    "overorders-1": overorder_box(((0,),)),
     # at n = 2 there is no third index, so the cells alone enforce m[0][1] + m[1][0] >= 0
     "overorders-2": overorder_box(((0, 2), (1, 0))),
     **{
@@ -152,8 +155,8 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
         sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(rows, n)]
         normalize, roots, gets, upper, zeros = _orbit_tables(n)
         norms = normalize(sum(rows, ()))
-        # a tuple at every n, n = 1 included: one slice per root, and a last entry past them
-        assert isinstance(norms, tuple) and len(norms) == n ** 3 + 1
+        # a tuple at every n, n = 1 included: one slice per root, and two last entries past them
+        assert isinstance(norms, tuple) and len(norms) == n ** 3 + 2
         by_root = [norms[r * n * n:(r + 1) * n * n] for r in range(n)]
         assert [norms[root] for root in roots] == by_root
         for r, norm in enumerate(by_root):
@@ -172,6 +175,26 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
     flat = tuple(range(n * n))
     assert all(sorted(get(flat)) == list(flat) for get in gets)
     assert len({get(flat) for get in gets}) == len(gets)
+
+
+def test_census_skips_a_root_its_orbit_already_holds(monkeypatch):
+    # the (7, 0) box holds the zero level alone, which every root normalizes to itself: root 0
+    # calls each of the (n-1)! getters once, and the 6 other roots call none (not n! = 5,040 calls)
+    normalize, roots, gets, upper, zeros = _orbit_tables(7)
+    calls = []
+
+    def counted(get):
+        def call(norm):
+            calls.append(norm)
+            return get(norm)
+
+        return call
+
+    tables = (normalize, roots, tuple(map(counted, gets)), upper, zeros)
+    monkeypatch.setattr(importlib.import_module("monorders.census"), "_orbit_tables", lambda n: tables)
+    result = census(CensusQuery(7, 0))
+    assert len(calls) == math.factorial(6) == 720
+    assert [(cls.canonical, cls.count) for cls in result.classes] == [(LevelMatrix.zero(7), 1)]
 
 
 # each census filter read off a class report, as the report's own fields say it

@@ -162,6 +162,9 @@ def golden_commands():
         ["census", "4", "--bound", "3", "--families", "--filter", "gorenstein"],
         ["census", "5", "--bound", "1"],
         ["census", "5", "--bound", "1", "--dump", "--format", "json"],
+        # classes with interchangeable indices, under a budget that lets the box through
+        ["census", "5", "--bound", "2", "--budget", "50000000", "--dump"],
+        ["census", "6", "--bound", "1", "--budget", "40000000", "--format", "json"],
         ["census", "3", "--families"],
         ["census", "0"],
         ["census", "3", "--bound", "-1"],

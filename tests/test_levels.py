@@ -104,13 +104,13 @@ class TestLevelMatrix:
         assert m.row(1) == (0, 1)
         assert m.column(1) == (0, 2)
 
-    @pytest.mark.parametrize("index", [0, -1, 3])
+    @pytest.mark.parametrize("index", [0, -1, 3, True, False, 1.0, "1"])
     def test_row_column_refuse_an_index_outside_one_to_n(self, index):
-        # 0 and -1 would otherwise wrap around to the last rows and columns
+        # 0 and -1 would otherwise wrap around to the last rows and columns, and True read row 1
         m = M([[0, 1], [2, 0]])
-        with pytest.raises(IndexError, match=rf"^index {index} is outside 1\.\.2$"):
+        with pytest.raises(IndexError, match=rf"^index {index!r} is not an integer in 1\.\.2$"):
             m.row(index)
-        with pytest.raises(IndexError, match=rf"^index {index} is outside 1\.\.2$"):
+        with pytest.raises(IndexError, match=rf"^index {index!r} is not an integer in 1\.\.2$"):
             m.column(index)
 
     def test_hashable_and_equal(self):
