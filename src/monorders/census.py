@@ -1,18 +1,26 @@
 """Census engine: enumerate, deduplicate and classify orders of a given size.
 
 The raw orders, zero in the first row and on the diagonal and in [0, bound]
-elsewhere, come from the box search that ``overorders`` also uses.  Orbit
-marking folds them into classes: the n! normalized conjugates of a class's
-first raw order give its count, its canonical level (the least conjugate) and
-its triangular form (the least one with a zero upper triangle), and its other
-raw orders are skipped.  ``_orbit_tables`` builds, once per n, the getters
-that normalize a flat raw order by every root (root 0 leaves it as it is), the
-(n-1)! that permute a root's normalization by the permutations fixing 0, and
-the one that reads a member's strict upper triangle; only this module knows
-the flat layout.  Those permutations form a group, so a root whose
-normalization the orbit already holds adds no member and is skipped.  The
-filters read verdicts that cost O(n^2) per class; only a class they keep is
-built as a level and classified, and its marks carry them to the report.
+elsewhere, come as flat tuples from the box search that ``overorders`` also
+uses.  Orbit marking folds them into classes: the n! normalized conjugates of
+a class's first raw order give its count, its canonical level (the least
+conjugate) and its triangular form (the least one with a zero upper
+triangle).  ``_orbit_tables`` builds, once per n, the getters that normalize
+a flat raw order by every root (root 0 leaves it as it is), the (n-1)! that
+permute a root's normalization by the permutations fixing 0, the one that
+reads a member's strict upper triangle, and the leading-block tests.  Those
+permutations form a group, so a root whose normalization the orbit already
+holds adds no member and is skipped.
+
+The search drops a raw order whose leading k-block, 3 <= k < n, has a
+conjugate by a permutation of 1..k-1 with a lesser pair-order key; the first
+raw order it meets of a class is the class's pair-order-least in-box member.
+A k-block passes only if its smaller leading blocks do (a permutation that
+lessens a j-block lessens the k-block, whose key begins with the j-block's),
+so the largest test admits to ``pending`` exactly the class's in-box members
+that the search will still visit: each visit removes one, and it ends empty.
+The filters read verdicts that cost O(n^2) per class; only a class they keep
+is built as a level and classified, and its marks carry them to the report.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -38,6 +46,7 @@ from .levels import (
     _is_plain_int,
     _order,
     _orders_in_box,
+    _unflatten,
     canonical_form,
 )
 from .oracle import DEFAULT_BUDGET, _check_budget
@@ -100,13 +109,27 @@ def _census_box(n, bound):
     return LevelMatrix.zero(n).entries, hi
 
 
-def _unflatten(flat, n):
-    return tuple([flat[i:i + n] for i in range(0, n * n, n)])
+def _least_block(n, k):
+    # the leading k-block test: no conjugate by a permutation of 1..k-1 has a lesser key in the search's
+    # pair order, m[a][b] then m[b][a] for (a, b) = (0,1), (0,2), (1,2), ..  In colex order, identity first,
+    # the permutations of 1..j-1 lead, so a level whose j-block is not least fails within (j-1)! keys
+    cells = [cell for b in range(1, k) for a in range(b) for cell in ((a, b), (b, a))]
+    orders = ((0, *tail[::-1]) for tail in itertools.permutations(range(k - 1, 0, -1)))
+    own, *others = [itemgetter(*(n * order[a] + order[b] for a, b in cells)) for order in orders]
+
+    def test(flat):
+        key = own(flat)
+        for get in others:
+            if get(flat) < key:
+                return False
+        return True
+
+    return test
 
 
 @cache
 def _orbit_tables(n):
-    """(normalize, roots, gets, upper, zeros): the census index tables of size n, built once and kept."""
+    """(normalize, roots, gets, upper, zeros, blocks): the census index tables of size n, built once and kept."""
     # from n*n*r on, the level normalized by row r, r moved to 0: m[a][b] + m[r][a] - m[r][b] for a, b in
     # (r, 0, .., r-1, r+1, ..).  Root 0's is the raw order; two last indices 0 keep each getter a tuple at n = 1
     orders = [(r, *range(r), *range(r + 1, n)) for r in range(1, n)]
@@ -122,7 +145,9 @@ def _orbit_tables(n):
     # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
     # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
     upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
-    return normalize, roots, gets, upper, upper((0,) * (n * n))
+    # the tests of the leading k-blocks, 3 <= k < n, that the box search and the pending set apply
+    blocks = {k: _least_block(n, k) for k in range(3, n)}
+    return normalize, roots, gets, upper, upper((0,) * (n * n)), blocks
 
 
 def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = DEFAULT_SEARCH_CAP) -> CensusResult:
@@ -138,11 +163,10 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
     _check_budget("census raw space", [(bound + 1, (n - 1) ** 2)], budget)
     _check_search_cap(n, search_cap)
 
-    normalize, roots, gets, upper, zeros = _orbit_tables(n)
+    normalize, roots, gets, upper, zeros, blocks = _orbit_tables(n)
     classes = {}  # flat least member of an orbit -> (class size, least upper triangular member)
-    pending = set()  # flat raw orders of a class already counted, not yet enumerated
-    for rows in _orders_in_box(*_census_box(n, bound)):
-        flat = sum(rows, ())
+    pending = set()  # flat raw orders of a class already counted that the search has yet to visit
+    for flat in _orders_in_box(*_census_box(n, bound), blocks):
         if flat in pending:
             pending.remove(flat)
             continue
@@ -159,17 +183,20 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
                 orbit |= members
         upper_members = [member for member in orbit if upper(member) == zeros]
         classes[min(orbit)] = len(in_box), min(upper_members, default=None)
+        if blocks:  # keep the in-box members that the search will visit: the largest block test decides
+            in_box = set(filter(blocks[n - 1], in_box))
         pending |= in_box - {flat}
 
     # every raw order is an in-box member of exactly one class, so the counts sum to the raw orders
     raw_orders = sum(count for count, _ in classes.values())
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
+    unflatten = _unflatten(n)
     tallies = dict.fromkeys(FILTERS, 0)
     selected = []
     for least, (count, upper_member) in sorted(classes.items()):  # flat order is row-major order
-        rows = _unflatten(least, n)
+        rows = unflatten(least)
         scan = _gorenstein_scan(rows)
-        form = None if upper_member is None else _unflatten(upper_member, n)
+        form = None if upper_member is None else unflatten(upper_member)
         # an Eichler order is Gorenstein, so only a Gorenstein class has a shape to read
         shape = None if scan[0] is None or form is None else _staircase_shape(form, n)
         passed = _passed(scan[0] is not None, shape, form)

@@ -33,6 +33,8 @@ repeats a scan; the census gives each class level its marks before handing it ou
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidInputError, NotAnOrderError, SearchTooLargeError
@@ -205,36 +207,57 @@ def _order(rows, **marks):
     return m
 
 
-def _orders_in_box(lo, hi):
-    """Row tuples of every order m with lo[i][j] <= m[i][j] <= hi[i][j] off the diagonal.
+def _orders_in_box(lo, hi, blocks=None):
+    """Row-major flat tuples of every order m with lo[i][j] <= m[i][j] <= hi[i][j] off the diagonal.
 
     Pairs (i, j), i < j, are set in the order (0,1), (0,2), (1,2), (0,3), ...
     A triangle through k < i, whose other pairs are set, bounds x = m[i][j] by
     m[i][k] - m[j][k] <= x, m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j],
     and y = m[j][i] the same way with i and j swapped; also y >= -x.  Each
     triangle is met at its last pair, so a pair's cells, in order of x then y,
-    are all viable prefixes.  The diagonal of the box is ignored.  Iterative.
+    are all viable prefixes, and the orders come in ascending pair-order key
+    m[0][1], m[1][0], m[0][2], m[2][0], m[1][2], ...  A cell is set in the rows
+    that the bounds read and in the flat list that is yielded.  The diagonal of
+    the box is ignored.  Iterative.
+
+    ``blocks`` maps k to a test of the flat list, run once the pair (k-2, k-1)
+    completes the leading k-block; a node that fails is dropped.  The census
+    tests keep a block that is pair-order-least among its conjugates by the
+    permutations of 1..k-1, so each class keeps its pair-order-least in-box
+    member M: a permutation that lessens M's k-block, extended by the identity
+    on k..n-1, would map M to a member of its class and box with a lesser key.
     """
     n = len(lo)
     # pairs[0] is a placeholder on the diagonal whose one cell is (0, 0): the first
     # real pair's cells are then built like any other's, and n = 1 needs no case
     pairs = [(0, 0)] + [(i, j) for j in range(1, n) for i in range(j)]
+    # tests[d] is the test of the leading block that pairs[d] completes, or None
+    blocks = blocks or {}
+    tests = [blocks.get(q + 1) if p == q - 1 else None for p, q in pairs]
     last = len(pairs) - 1
     cur = [[0] * n for _ in range(n)]
+    flat = [0] * (n * n)
     stack = [iter([(0, 0)])]  # stack[d] iterates the cells of pairs[d] left to try
     while stack:
         depth = len(stack) - 1
         p, q = pairs[depth]
+        pq = n * p + q
+        qp = n * q + p
+        if depth == last:
+            for flat[pq], flat[qp] in stack.pop():
+                yield tuple(flat)
+            continue
+        test = tests[depth]
         row_p = cur[p]
         row_q = cur[q]
-        if depth == last:
-            for row_p[q], row_q[p] in stack.pop():
-                yield tuple(map(tuple, cur))
-            continue
         i, j = pairs[depth + 1]
         row_i = cur[i]
         row_j = cur[j]
-        for row_p[q], row_q[p] in stack[depth]:
+        for x, y in stack[depth]:
+            row_p[q] = flat[pq] = x
+            row_q[p] = flat[qp] = y
+            if test is not None and not test(flat):
+                continue
             x_lo, x_hi, y_lo, y_hi = lo[i][j], hi[i][j], lo[j][i], hi[j][i]
             # comparisons, not max and min: this loop is the search's hot spot
             for row_k, cik, cjk in zip(cur, row_i, row_j[:i]):
@@ -256,6 +279,14 @@ def _orders_in_box(lo, hi):
             break
         else:
             stack.pop()
+
+
+@cache
+def _unflatten(n):
+    """The rows of a flat row-major n x n tuple, by one getter of row slices per n, built once and kept."""
+    if n == 1:
+        return lambda flat: (flat,)  # an itemgetter of one slice would return the slice itself
+    return itemgetter(*(slice(start, start + n) for start in range(0, n * n, n)))
 
 
 def _violation_text(witness) -> str:
@@ -300,6 +331,8 @@ def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:
 
 
 def _check_search_cap(n, search_cap):
+    if not _is_plain_int(search_cap):
+        raise InvalidInputError(f"search cap must be an integer, got {search_cap!r}")
     if n > search_cap:
         raise SearchTooLargeError(f"canonical form of size {n} exceeds the cap {search_cap}")
 

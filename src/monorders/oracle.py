@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidInputError
 from .duality import is_gorenstein
 from .levelio import _digit_limit
-from .levels import LevelMatrix, _order, _orders_in_box, _require_order
+from .levels import LevelMatrix, _is_plain_int, _order, _orders_in_box, _require_order, _unflatten
 
 DEFAULT_BUDGET = 10**7
 
@@ -33,6 +33,8 @@ def _check_budget(what, powers, budget):
     Bases are at least 1, so the product stops once it is over the budget and
     too long to print; a power whose bit length alone shows that is not built.
     """
+    if not _is_plain_int(budget):
+        raise InvalidInputError(f"budget must be an integer, got {budget!r}")
     digits = _digit_limit()
     cap = max(budget, _printable_cap(digits))
     size = 1
@@ -84,8 +86,8 @@ def overorders(m: LevelMatrix, budget: int = DEFAULT_BUDGET) -> OverorderSet:
     _check_overorder_budget(m, budget)
     rows = m.entries
     lo = tuple(tuple(-row[i] for row in rows) for i in range(m.n))
-    found = sorted(_orders_in_box(lo, rows))
-    return OverorderSet(m, tuple(_order(level) for level in found))
+    unflatten = _unflatten(m.n)  # the search's flat row-major tuples sort as their rows do
+    return OverorderSet(m, tuple(_order(unflatten(flat)) for flat in sorted(_orders_in_box(lo, rows))))
 
 
 def bass_oracle(m: LevelMatrix, budget: int = DEFAULT_BUDGET):

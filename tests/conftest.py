@@ -24,7 +24,7 @@ from monorders import (
     overorders,
 )
 from monorders.census import _census_box
-from monorders.levels import _orders_in_box
+from monorders.levels import _orders_in_box, _unflatten
 
 
 def min_plus_closure(rows):
@@ -72,8 +72,9 @@ def triangular_box(n: int, bound: int):
 
 
 def _sorted_orders(box):
-    # sorted rows are the row-major lexicographic order of a product sweep
-    return [LevelMatrix(rows) for rows in sorted(_orders_in_box(*box))]
+    # sorted flat tuples are the row-major lexicographic order of a product sweep
+    unflatten = _unflatten(len(box[0]))
+    return [LevelMatrix(unflatten(flat)) for flat in sorted(_orders_in_box(*box))]
 
 
 def enumerate_orders(n: int, bound: int):
@@ -241,11 +242,28 @@ def brute_canonical_form(m: LevelMatrix):
     return LevelMatrix(best), WeylElement(rows[sigma.index(0)], sigma)
 
 
+def brute_least_blocks(rows):
+    """True when each leading k-block of a level, 3 <= k < n, is pair-order-least among its conjugates
+    by the permutations of 1..k-1, the pair order reading m[0][1], m[1][0], m[0][2], m[2][0], m[1][2], ..."""
+    n = len(rows)
+    for k in range(3, n):
+
+        def key(order):
+            # the block of the conjugate that moves order[a] to a, read in the pair order
+            return [rows[order[a]][order[b]] for j in range(1, k) for i in range(j) for a, b in ((i, j), (j, i))]
+
+        own = key(range(k))
+        if any(key((0, *tail)) < own for tail in itertools.permutations(range(1, k))):
+            return False
+    return True
+
+
 def brute_census_counts(n: int, bound: int):
     """{canonical level: count} of a census, folding every raw order through canonical_form."""
     counts = {}
-    for rows in _orders_in_box(*_census_box(n, bound)):
-        canonical, _ = canonical_form(LevelMatrix(rows))
+    unflatten = _unflatten(n)
+    for flat in _orders_in_box(*_census_box(n, bound)):  # every raw order: the search without block tests
+        canonical, _ = canonical_form(LevelMatrix(unflatten(flat)))
         counts[canonical] = counts.get(canonical, 0) + 1
     return counts
 

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import math
@@ -29,7 +30,7 @@ from monorders import (
 from monorders.census import FILTERS, _census_box, _orbit_tables
 from monorders.cli import main
 from monorders.levelio import level_to_text
-from monorders.levels import _orders_in_box
+from monorders.levels import _orders_in_box, _unflatten
 
 from conftest import (
     CENSUS_SIZES,
@@ -37,6 +38,7 @@ from conftest import (
     _conjugates,
     brute_canonical_form,
     brute_census_counts,
+    brute_least_blocks,
     brute_match_family,
     brute_triangular_verdicts,
     random_order,
@@ -107,10 +109,62 @@ BOXES = {
 }
 
 
+@pytest.fixture(scope="module")
+def flat_product_orders():
+    """product_orders(lo, hi) as flat row-major tuples, each box swept once per module."""
+    return functools.cache(lambda lo, hi: [sum(rows, ()) for rows in product_orders(lo, hi)])
+
+
 @pytest.mark.parametrize("name", sorted(BOXES))
-def test_box_search_matches_product_filter(name):
+def test_box_search_matches_product_filter(name, flat_product_orders):
+    # without block tests the search yields every order of the box, as a flat row-major tuple
     lo, hi = BOXES[name]
-    assert sorted(_orders_in_box(lo, hi)) == list(product_orders(lo, hi))
+    assert sorted(_orders_in_box(lo, hi)) == flat_product_orders(lo, hi)
+
+
+def pair_order_key(flat, n):
+    """m[0][1], m[1][0], m[0][2], m[2][0], m[1][2], ...: the order in which the box search sets the cells."""
+    return [flat[n * a + b] for j in range(1, n) for i in range(j) for a, b in ((i, j), (j, i))]
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_pruned_search_keeps_the_orders_whose_leading_blocks_are_least(n, bound, flat_product_orders):
+    # with the census block tests the search yields exactly the orders of the box whose leading
+    # k-blocks, 3 <= k < n, are pair-order-least among their conjugates by the permutations of
+    # 1..k-1, in ascending pair order, so the first one it meets of a class is the class's
+    # pair-order-least in-box member; from n = 4 on, a box with a nonzero entry loses some
+    box = _census_box(n, bound)
+    blocks = _orbit_tables(n)[5]
+    assert sorted(blocks) == list(range(3, n))
+    pruned = list(_orders_in_box(*box, blocks))
+    orders = flat_product_orders(*box)
+    assert sorted(pruned) == [flat for flat in orders if brute_least_blocks(_unflatten(n)(flat))]
+    assert pruned == sorted(pruned, key=lambda flat: pair_order_key(flat, n))
+    assert (len(pruned) < len(orders)) == (n >= 4 and bound >= 1)
+
+
+@pytest.mark.parametrize("n,bound", [(4, 2), (4, 3), (5, 1)])
+def test_pending_holds_only_raw_orders_the_search_visits(n, bound, monkeypatch, census_result):
+    # the census admits to pending only the in-box members whose leading blocks pass, which
+    # the pruned search visits later and each visit removes: pending ends empty, where
+    # admitting every in-box member leaves those the search drops. And it admits every such
+    # member, so each class starts one orbit, where a member left out would start another
+    expected = census_result(n, bound)
+    census_module = importlib.import_module("monorders.census")
+    normalize, *tables = _orbit_tables(n)
+    left, starts = [], []
+
+    def search(*args):
+        yield from _orders_in_box(*args)
+        # the frame that ran the search to its end is the census call's
+        left.append(sys._getframe(1).f_locals["pending"])
+
+    monkeypatch.setattr(census_module, "_orders_in_box", search)
+    counted = lambda flat: starts.append(flat) or normalize(flat)  # one call per orbit built
+    monkeypatch.setattr(census_module, "_orbit_tables", lambda size: (counted, *tables))
+    assert census(CensusQuery(n, bound)) == expected
+    assert left == [set()]
+    assert len(starts) == len(set(starts)) == expected.totals["classes"]
 
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
@@ -151,10 +205,10 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
     # finds the in-box conjugates of the sweep. The triangle getter reads zeros exactly on
     # the upper triangular conjugates
     _orbit_tables.cache_clear()
-    for rows in _orders_in_box(*_census_box(n, bound)):
-        sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(rows, n)]
-        normalize, roots, gets, upper, zeros = _orbit_tables(n)
-        norms = normalize(sum(rows, ()))
+    for flat in _orders_in_box(*_census_box(n, bound)):
+        sweep = [(sum(level, ()), sigma) for level, sigma in _conjugates(_unflatten(n)(flat), n)]
+        normalize, roots, gets, upper, zeros, _ = _orbit_tables(n)
+        norms = normalize(flat)
         # a tuple at every n, n = 1 included: one slice per root, and two last entries past them
         assert isinstance(norms, tuple) and len(norms) == n ** 3 + 2
         by_root = [norms[r * n * n:(r + 1) * n * n] for r in range(n)]
@@ -180,7 +234,7 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
 def test_census_skips_a_root_its_orbit_already_holds(monkeypatch):
     # the (7, 0) box holds the zero level alone, which every root normalizes to itself: root 0
     # calls each of the (n-1)! getters once, and the 6 other roots call none (not n! = 5,040 calls)
-    normalize, roots, gets, upper, zeros = _orbit_tables(7)
+    normalize, roots, gets, upper, zeros, blocks = _orbit_tables(7)
     calls = []
 
     def counted(get):
@@ -190,7 +244,7 @@ def test_census_skips_a_root_its_orbit_already_holds(monkeypatch):
 
         return call
 
-    tables = (normalize, roots, tuple(map(counted, gets)), upper, zeros)
+    tables = (normalize, roots, tuple(map(counted, gets)), upper, zeros, blocks)
     monkeypatch.setattr(importlib.import_module("monorders.census"), "_orbit_tables", lambda n: tables)
     result = census(CensusQuery(7, 0))
     assert len(calls) == math.factorial(6) == 720

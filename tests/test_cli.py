@@ -411,10 +411,12 @@ class TestSearchCap:
 
     def test_census_cap_refuses_before_enumerating(self, capsys, monkeypatch):
         def search(*args):
-            raise AssertionError("the census box was searched")
+            raise AssertionError("the census box was searched or its row slicer built")
 
         # the package exports the census function under the submodule's name
-        monkeypatch.setattr(importlib.import_module("monorders.census"), "_orders_in_box", search)
+        census_module = importlib.import_module("monorders.census")
+        monkeypatch.setattr(census_module, "_orders_in_box", search)
+        monkeypatch.setattr(census_module, "_unflatten", search)
         assert main(["census", "5000", "--bound", "0"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -422,7 +424,7 @@ class TestSearchCap:
 
     def test_census_cap_refuses_before_any_orbit_scan(self, capsys, monkeypatch):
         def scan(*args):
-            raise AssertionError("an orbit or an orbit table was built")
+            raise AssertionError("an orbit, an orbit table or a block test was built")
 
         # the census module, not the census function that the package exports under its name
         census_module = importlib.import_module("monorders.census")

@@ -32,7 +32,7 @@ from monorders import (
     triangular_form,
 )
 
-from monorders.levels import _order
+from monorders.levels import _order, _unflatten
 
 from conftest import (
     AUDITED,
@@ -317,6 +317,19 @@ NOT_PLAIN_INTS = {
     "weyl-bool-perm": (lambda: WeylElement((0, 0), (True, False)), r"perm must be a permutation of range\(2\)"),
     "census-float-bound": (lambda: CensusQuery(2, 1.5), "census bound must be nonnegative"),
     "census-bool-bound": (lambda: CensusQuery(2, True), "census bound must be nonnegative"),
+    # a search cap or budget is a plain int too, refused by name before any search
+    "canonical-bool-cap": (
+        lambda: canonical_form(LevelMatrix.zero(3), True),
+        "^search cap must be an integer, got True$",
+    ),
+    "census-none-cap": (lambda: census(CensusQuery(2, 1), 10**7, None), "^search cap must be an integer, got None$"),
+    "overorders-bool-budget": (lambda: overorders(LevelMatrix.zero(3), True), "^budget must be an integer, got True$"),
+    "overorders-float-budget": (
+        lambda: overorders(LevelMatrix.zero(3), 2.5e9),
+        r"^budget must be an integer, got 2500000000\.0$",
+    ),
+    "overorders-str-budget": (lambda: overorders(LevelMatrix.zero(3), "9"), "^budget must be an integer, got '9'$"),
+    "bass-none-budget": (lambda: bass_oracle(LevelMatrix.zero(3), None), "^budget must be an integer, got None$"),
     "census-bool-size": (lambda: CensusQuery(True, 1), "census size must be positive"),
     "census-float-size": (lambda: CensusQuery(2.0, 1), "census size must be positive"),
     "eichler-bool-a": (lambda: EichlerShape(2, (1, 1), True), "a must be a positive integer"),
@@ -334,6 +347,14 @@ def test_value_types_refuse_non_plain_ints(name):
     build, message = NOT_PLAIN_INTS[name]
     with pytest.raises(InvalidInputError, match=message):
         build()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unflatten_slices_the_rows_of_a_flat_level(n):
+    # one getter per n, built once, equal to slicing row by row; n = 1 too, whose one row is the whole
+    flat = tuple(range(n * n))
+    assert _unflatten(n)(flat) == tuple([flat[i:i + n] for i in range(0, n * n, n)])
+    assert _unflatten(n) is _unflatten(n)
 
 
 FAMILY_REFUSAL = "^family 0 pattern must be a square table of 0, a, b, a"
