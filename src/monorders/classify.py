@@ -7,11 +7,11 @@ period.  Hereditary means Eichler with a = 1 (the maximal order being the
 period-1 case), and Bass means hereditary or Eichler of period two.
 ``classify`` bundles every verdict, with witnesses, into one report.
 
-The verdicts read one triangular conjugate, found in O(n^3) by sorting along
-a shortest-path preorder, so they take no size cap; ``classify`` takes it
-once and keeps it in its report, and reads it, the Gorenstein scan and the
-shape off the marks of a census class.  Only its canonical form keeps a cap
-(a pruned search over placements, see ``levels.canonical_form``).
+The verdicts read the shape that one triangular conjugate carries, found in
+O(n^3) by sorting along a shortest-path preorder, so they take no size cap; a
+census class level carries that form, and ``classify`` keeps it in its report
+and reads the Gorenstein scan off the class's marks too.  Only its canonical
+form keeps a cap (a pruned search over placements, see ``levels.canonical_form``).
 """
 
 from __future__ import annotations
@@ -133,28 +133,27 @@ def _triangular_rows(rows, n):
 
 
 def classify_eichler(m: LevelMatrix) -> Optional[EichlerShape]:
-    """Eichler shape of an order, read off any triangular conjugate.
+    """Eichler shape of an order: the ``_eichler`` mark of m when m is a
+    triangular form, else that of ``triangular_form(m)``; None without one.
 
-    The nonzero below-diagonal values of a triangular form are its nonzero
-    pair sums m[i][j] + m[j][i], which are conjugation invariants, so any
-    triangular form decides the shape, m itself when upper triangular; the
-    invariant is in canonical (cyclic-min) rotation.  None when none matches.
+    A triangular form's nonzero below-diagonal values are its nonzero pair sums
+    m[i][j] + m[j][i], conjugation invariants, so any one decides the shape.
     """
     _require_order(m)
-    if hasattr(m, "_eichler"):
-        return m._eichler  # a census triangular form carries the shape its class was filtered by
-    rows = m.entries if is_upper_triangular(m) else _triangular_rows(m.entries, m.n)
-    shape = None if rows is None else _staircase_shape(rows, m.n)
-    return None if shape is None else shape.canonical()
+    form = m if hasattr(m, "_eichler") else triangular_form(m)
+    return None if form is None else form._eichler
 
 
 def triangular_form(m: LevelMatrix) -> Optional[LevelMatrix]:
-    """Lex-min upper triangular normalized permutation conjugate, or None."""
+    """Lex-min upper triangular normalized permutation conjugate, or None; it carries the
+    canonical (cyclic-min) rotation of its staircase shape, or None, as its mark ``_eichler``."""
     _require_order(m)
     if hasattr(m, "_triangular"):
         return m._triangular  # a census class level carries the one read off its orbit
     rows = _triangular_rows(m.entries, m.n)
-    return None if rows is None else _order(rows)
+    shape = None if rows is None else _staircase_shape(rows, m.n)
+    eichler = None if shape is None else shape.canonical()
+    return None if rows is None else _order(rows, _eichler=eichler)
 
 
 def _bass_verdict(shape: Optional[EichlerShape]) -> tuple[bool, bool, str]:

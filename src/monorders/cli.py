@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 
 from .errors import MonordersError, NotALatticeError
@@ -385,6 +386,8 @@ def main(argv=None) -> int:
 
 
 def entry():
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the command as it ends other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

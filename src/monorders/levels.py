@@ -54,9 +54,9 @@ class LevelMatrix:
     Entries are stored as a tuple of row tuples and may be any integers;
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
-    level known to be an order carries the private mark ``_checked``; census
-    levels may carry ``_canonical``, ``_triangular``, ``_gorenstein`` and
-    ``_eichler``, the values of their readers.  No mark is a dataclass field.
+    level known to be an order carries the private mark ``_checked``; census class
+    levels carry ``_canonical``, ``_triangular`` and ``_gorenstein``, every triangular
+    form ``_eichler``, the values of their readers.  No mark is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]

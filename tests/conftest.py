@@ -108,14 +108,15 @@ def _install_mark_audit():
     gets ``_canonical`` (the witness ``canonical_form`` returns, the level
     being its own form), ``_triangular`` (what ``triangular_form`` returns)
     and ``_gorenstein`` (what ``_gorenstein_scan`` returns on its rows), and
-    its triangular form gets ``_eichler`` (what ``classify_eichler``
-    returns).  The wrapper asserts, on an unmarked copy of the rows, that the
-    constructor accepts them and the order scan passes them, that a
-    ``_canonical`` level has a zero first row, the identity as its least
-    canonical sigma and the identity as its witness, that ``_triangular`` is
-    the triangular search's answer, ``_gorenstein`` the scan's and
-    ``_eichler`` the shape read off the level's own rows; then it builds the
-    level as ``_order`` does.  The checks run through references taken here,
+    every triangular form, the census's and each that ``triangular_form``
+    builds, gets ``_eichler`` (what ``classify_eichler`` returns for it: the
+    canonical rotation of its staircase shape, or None).  The wrapper
+    asserts, on an unmarked copy of the rows, that the constructor accepts
+    them and the order scan passes them, that a ``_canonical`` level has a
+    zero first row, the identity as its least canonical sigma and the
+    identity as its witness, that ``_triangular`` is the triangular search's
+    answer, ``_gorenstein`` the scan's and ``_eichler`` the shape read off
+    the level's own rows; then it builds the level as ``_order`` does.  The checks run through references taken here,
     so a test that patches or counts those functions sees no call of the audit.
     """
     levels = importlib.import_module("monorders.levels")
@@ -138,7 +139,7 @@ def _install_mark_audit():
         if "_gorenstein" in marks:
             assert gorenstein_scan(rows) == marks["_gorenstein"], rows
         if "_eichler" in marks:
-            # classify_eichler of an upper triangular order is its staircase shape, rotated
+            # a triangular form's Eichler shape is its staircase shape, rotated
             assert not any(any(row[i:]) for i, row in enumerate(rows)), rows
             shape = staircase_shape(rows, n)
             assert marks["_eichler"] == (None if shape is None else shape.canonical()), rows

@@ -18,8 +18,11 @@ from monorders import (
     canonical_form,
     census,
     classify,
+    classify_eichler,
     conjugate,
     gorenstein_via_dual,
+    is_bass,
+    is_hereditary,
     is_order,
     is_upper_triangular,
     load_families,
@@ -327,6 +330,33 @@ def test_census_makes_no_triangular_search(monkeypatch):
         assert upper(cls) == (cls.report.triangular is not None)
         flipped = replace(cls.report, triangular=cls.canonical if cls.report.triangular is None else None)
         assert upper(replace(cls, report=flipped)) != upper(cls)
+
+
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_class_levels_answer_verdict_queries_from_their_marks(n, bound, monkeypatch, census_result):
+    # a class level's _triangular mark carries its form, and the form its _eichler mark, so
+    # the three verdict queries equal the class report with no triangular search or staircase read
+    result = census_result(n, bound)
+    classify_module = importlib.import_module("monorders.classify")
+    calls = []
+
+    def counting(name):
+        reader = getattr(classify_module, name)
+
+        def call(rows, n):
+            calls.append(name)
+            return reader(rows, n)
+
+        return call
+
+    for name in ("_triangular_rows", "_staircase_shape"):
+        monkeypatch.setattr(classify_module, name, counting(name))
+    for cls in result.classes:
+        report = cls.report
+        assert classify_eichler(cls.canonical) == report.eichler
+        assert is_hereditary(cls.canonical) == report.is_hereditary
+        assert is_bass(cls.canonical) == (report.is_bass, report.bass_reason)
+    assert calls == []
 
 
 SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52": SEC52_ROWS}

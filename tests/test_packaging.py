@@ -1,6 +1,7 @@
 """Checks of the installed program and of the packaging metadata that installs it."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,14 @@ SRC = str(Path(monorders.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
+def python_env():
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("MONORDERS_BUDGET", None)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return env
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], env=python_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -50,6 +55,17 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert (done.returncode, done.stdout) == (code, out), done.stderr
     assert done.stderr.startswith(f"error: cannot read {missing}")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_command_by_sigpipe():
+    # the reader takes one line and closes, as `| head -1` does; the dump's 200 kB
+    # outgrow a pipe's buffer, so the command is still writing when the pipe closes
+    command = [sys.executable, "-m", "monorders.cli", "census", "4", "--bound", "4", "--dump"]
+    with subprocess.Popen(command, env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "census: n=4 bound=4\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (-signal.SIGPIPE, "")
 
 
 @pytest.mark.parametrize(
