@@ -2,25 +2,25 @@
 
 The raw orders, zero in the first row and on the diagonal and in [0, bound]
 elsewhere, come as flat tuples from the box search that ``overorders`` also
-uses.  Orbit marking folds them into classes: the n! normalized conjugates of
-a class's first raw order give its count, its canonical level (the least
-conjugate) and its triangular form (the least one with a zero upper
-triangle).  ``_orbit_tables`` builds, once per n, the getters that normalize
-a flat raw order by every root (root 0 leaves it as it is), the (n-1)! that
-permute a root's normalization by the permutations fixing 0, the one that
-reads a member's strict upper triangle, and the leading-block tests.  Those
-permutations form a group, so a root whose normalization the orbit already
-holds adds no member and is skipped.
+uses.  Orbit marking folds them into classes: a class's first raw order,
+normalized by each root and permuted by the permutations fixing 0 (the
+getters of ``_orbit_tables``), gives its n! members, whose in-box count is
+its size, whose least is its canonical level and whose least with a zero
+upper triangle is its triangular form; those permutations form a group, so
+a root whose normalization the orbit already holds is skipped.  The search
+drops a raw order whose leading k-block, 3 <= k < n, has a lesser pair-order
+key under a permutation of 1..k-1, so it meets each class first at its
+pair-order-least in-box member.  A k-block passes only if its smaller
+leading blocks do (a permutation that lessens a j-block lessens the k-block,
+whose key begins with the j-block's), so the largest test admits to
+``pending`` exactly the in-box members the search will still visit.
 
-The search drops a raw order whose leading k-block, 3 <= k < n, has a
-conjugate by a permutation of 1..k-1 with a lesser pair-order key; the first
-raw order it meets of a class is the class's pair-order-least in-box member.
-A k-block passes only if its smaller leading blocks do (a permutation that
-lessens a j-block lessens the k-block, whose key begins with the j-block's),
-so the largest test admits to ``pending`` exactly the class's in-box members
-that the search will still visit: each visit removes one, and it ends empty.
-The filters read verdicts that cost O(n^2) per class; only a class they keep
-is built as a level and classified, and its marks carry them to the report.
+The loop reads every filter verdict.  Row r of an order m has a Gorenstein
+witness column j, m[r][k] + m[k][j] = c for all k (so c = m[r][j]), iff
+column j of m normalized by row r, m[k][j] + m[r][k] - m[r][j], is zero: a
+class is Gorenstein iff each root's normalization has a zero column (a
+skipped root's is an earlier one's conjugate by a permutation fixing 0).
+Only a kept class is built as a level, marked and classified.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
 family table.
@@ -52,16 +52,17 @@ from .levels import (
 from .oracle import DEFAULT_BUDGET, _check_budget
 
 
+@cache
 def _passed(gorenstein, shape, triangular):
-    # the filters that a class passes, by its Gorenstein verdict, Eichler shape and triangular form
+    # the filters that a class passes, by its Gorenstein verdict, Eichler shape and triangular verdict
     hereditary, bass, _ = _bass_verdict(shape)
-    holds = (gorenstein, shape is not None, hereditary, bass, triangular is not None)
-    return {name for name, passed in zip(FILTERS, holds) if passed}
+    holds = (gorenstein, shape is not None, hereditary, bass, triangular)
+    return frozenset(name for name, passed in zip(FILTERS, holds) if passed)
 
 
 #: Each filter name and its test of a census class, read off the class report.
 FILTERS = {
-    name: lambda cls, name=name: name in _passed(cls.report.is_gorenstein, cls.report.eichler, cls.report.triangular)
+    name: lambda c, name=name: name in _passed(c.report.is_gorenstein, c.report.eichler, bool(c.report.triangular))
     for name in ("gorenstein", "eichler", "hereditary", "bass", "upper_triangular")
 }
 
@@ -164,7 +165,11 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
     _check_search_cap(n, search_cap)
 
     normalize, roots, gets, upper, zeros, blocks = _orbit_tables(n)
-    classes = {}  # flat least member of an orbit -> (class size, least upper triangular member)
+    unflatten = _unflatten(n)
+    columns = itemgetter(*(slice(j, n * n, n) for j in range(n)), slice(0, 0))  # a tuple of n columns at n = 1 too
+    keeps_others = query.filters <= {"upper_triangular"}  # the other filters keep only Gorenstein classes
+    totals = {"raw_orders": 0, "classes": 0, **dict.fromkeys(FILTERS, 0)}
+    kept = {}  # flat least member of a kept class -> (class size, least upper triangular member, its shape)
     pending = set()  # flat raw orders of a class already counted that the search has yet to visit
     for flat in _orders_in_box(*_census_box(n, bound), blocks):
         if flat in pending:
@@ -173,41 +178,41 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
         norms = normalize(flat)
         in_box = set()
         orbit = set()
+        gorenstein = True
         for root in roots:
             norm = norms[root]
             if norm not in orbit:  # else a permutation fixing 0 maps an earlier root's onto it: same members
+                gorenstein = gorenstein and (0,) * n in columns(norm)  # the zero-column rule, until a root fails
                 members = {get(norm) for get in gets}  # the conjugates sending this root to 0
                 # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
                 if max(norm) <= bound:
                     in_box |= members
                 orbit |= members
-        upper_members = [member for member in orbit if upper(member) == zeros]
-        classes[min(orbit)] = len(in_box), min(upper_members, default=None)
+        if gorenstein or keeps_others:  # the least upper triangular member, in one pass
+            form = min([member for member in orbit if upper(member) == zeros], default=None)
+            shape = _staircase_shape(unflatten(form), n) if gorenstein and form is not None else None
+            passed = _passed(gorenstein, shape, form is not None)
+            if passed >= query.filters:
+                kept[min(orbit)] = len(in_box), form, shape
+        else:  # the filters drop the class, which has no shape to read: only whether it has a form counts
+            passed = _passed(False, None, zeros in map(upper, orbit))
+        for name in passed:
+            totals[name] += 1
+        totals["raw_orders"] += len(in_box)  # every raw order is an in-box member of exactly one class
+        totals["classes"] += 1
         if blocks:  # keep the in-box members that the search will visit: the largest block test decides
             in_box = set(filter(blocks[n - 1], in_box))
         pending |= in_box - {flat}
 
-    # every raw order is an in-box member of exactly one class, so the counts sum to the raw orders
-    raw_orders = sum(count for count, _ in classes.values())
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
-    unflatten = _unflatten(n)
-    tallies = dict.fromkeys(FILTERS, 0)
     selected = []
-    for least, (count, upper_member) in sorted(classes.items()):  # flat order is row-major order
+    for least, (count, form, shape) in sorted(kept.items()):  # flat order is row-major order
         rows = unflatten(least)
-        scan = _gorenstein_scan(rows)
-        form = None if upper_member is None else unflatten(upper_member)
-        # an Eichler order is Gorenstein, so only a Gorenstein class has a shape to read
-        shape = None if scan[0] is None or form is None else _staircase_shape(form, n)
-        passed = _passed(scan[0] is not None, shape, form)
-        for name in passed:
-            tallies[name] += 1
-        if passed >= query.filters:
-            eichler = None if shape is None else shape.canonical()
-            triangular = None if form is None else _order(form, _eichler=eichler)
-            canonical = _order(rows, _canonical=identity, _triangular=triangular, _gorenstein=scan)
-            selected.append(CensusClass(canonical, classify(canonical, search_cap), count))
-    return CensusResult(query, tuple(selected), {"raw_orders": raw_orders, "classes": len(classes), **tallies})
+        eichler = None if shape is None else shape.canonical()
+        triangular = None if form is None else _order(unflatten(form), _eichler=eichler)
+        canonical = _order(rows, _canonical=identity, _triangular=triangular, _gorenstein=_gorenstein_scan(rows))
+        selected.append(CensusClass(canonical, classify(canonical, search_cap), count))
+    return CensusResult(query, tuple(selected), totals)
 
 
 def match_family(level: LevelMatrix):

@@ -32,6 +32,7 @@ from monorders import (
 )
 from monorders.census import FILTERS, _census_box, _orbit_tables
 from monorders.cli import main
+from monorders.duality import _gorenstein_scan
 from monorders.levelio import level_to_text
 from monorders.levels import _orders_in_box, _unflatten
 
@@ -234,6 +235,31 @@ def test_orbits_by_root_match_the_permutation_sweep(n, bound):
     assert len({get(flat) for get in gets}) == len(gets)
 
 
+@pytest.mark.parametrize("n,bound", ORBIT_SIZES)
+def test_zero_column_rule_matches_the_gorenstein_scans(n, bound, census_result):
+    # row r has witness column j, m[r][k] + m[k][j] constant in k, iff column j of the level
+    # normalized by row r is zero; column q of root r's slice is column order[q]. So a class is
+    # Gorenstein iff every root's normalization has a zero column: on every class, by all n
+    # roots, as the hashed scan, the dual-module route, the report and the census totals say
+    normalize, roots = _orbit_tables(n)[:2]
+    result = census_result(n, bound)
+    gorenstein = 0
+    for cls in result.classes:
+        rows = cls.canonical.entries
+        norms = normalize(sum(rows, ()))
+        verdict = True
+        for r, root in enumerate(roots):
+            norm, order = norms[root], (r, *range(r), *range(r + 1, n))
+            zero_columns = {order[q] for q in range(n) if not any(norm[q::n])}
+            witnesses = {j for j in range(n) if len({rows[r][k] + rows[k][j] for k in range(n)}) == 1}
+            assert zero_columns == witnesses, (rows, r)
+            verdict = verdict and bool(zero_columns)
+        assert verdict == (_gorenstein_scan(rows)[0] is not None) == gorenstein_via_dual(cls.canonical), rows
+        assert verdict == cls.report.is_gorenstein
+        gorenstein += verdict
+    assert gorenstein == result.totals["gorenstein"]
+
+
 def test_census_skips_a_root_its_orbit_already_holds(monkeypatch):
     # the (7, 0) box holds the zero level alone, which every root normalizes to itself: root 0
     # calls each of the (n-1)! getters once, and the 6 other roots call none (not n! = 5,040 calls)
@@ -282,10 +308,11 @@ def test_totals_and_selections_match_the_class_reports(n, bound, census_result):
 
 
 def test_census_classifies_only_the_classes_it_returns(monkeypatch):
-    # the filters read verdicts computed before any class level is built, so a filtered
-    # census classifies the 21 Gorenstein classes of (3,10) and no other; unfiltered, all 781.
-    # Each verdict is computed once per class, in every module that binds its kernel: one
-    # Gorenstein scan per class, and one staircase shape per Gorenstein class with a form
+    # the filters read verdicts computed in the orbit loop before any class level is built, so a
+    # filtered census classifies the 21 Gorenstein classes of (3,10) and no other; unfiltered, all
+    # 781. Each kernel runs once per class that needs it, in every module that binds it: one
+    # Gorenstein scan per returned class, for its mark, and one staircase shape per Gorenstein
+    # class with a form, returned or not
     reports = [c.report for c in census(CensusQuery(3, 10)).classes]
     shaped = sum(report.is_gorenstein and report.triangular is not None for report in reports)
     census_module = importlib.import_module("monorders.census")
@@ -303,7 +330,8 @@ def test_census_classifies_only_the_classes_it_returns(monkeypatch):
         result = census(CensusQuery(3, 10, filters))
         assert len(result.classes) == returned == len(calls)
         assert [c.canonical for c in result.classes] == calls
-        assert len(kernels["_gorenstein_scan"]) == result.totals["classes"] == len(reports)
+        assert len(kernels["_gorenstein_scan"]) == returned
+        assert result.totals["classes"] == len(reports)
         assert len(kernels["_staircase_shape"]) == shaped > 0
     assert result.totals["gorenstein"] == 21
 
