@@ -20,10 +20,11 @@ witness column j, m[r][k] + m[k][j] = c for all k (so c = m[r][j]), iff
 column j of m normalized by row r, m[k][j] + m[r][k] - m[r][j], is zero: a
 class is Gorenstein iff each root's normalization has a zero column (a
 skipped root's is an earlier one's conjugate by a permutation fixing 0).
-Only a kept class is built as a level, marked and classified.
+Only a kept class is built as a level, marked and classified; ``classify``
+runs its Gorenstein scan.
 
 ``match_family`` ties 4x4 census classes back to the parametric Gorenstein
-family table.
+family table, searching only instances with the class's sorted pair sums.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from operator import add, itemgetter, sub
 
 from .errors import InvalidInputError, NotAnOrderError
 from .classify import ClassificationReport, _bass_verdict, _staircase_shape, classify
-from .duality import _gorenstein_scan
 from .families import load_families
 from .levels import (
     DEFAULT_SEARCH_CAP,
@@ -202,15 +202,15 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
         totals["classes"] += 1
         if blocks:  # keep the in-box members that the search will visit: the largest block test decides
             in_box = set(filter(blocks[n - 1], in_box))
-        pending |= in_box - {flat}
+        pending |= in_box
+        pending.remove(flat)  # flat, the search's own visit, is an in-box member that passes every block test
 
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level
     selected = []
     for least, (count, form, shape) in sorted(kept.items()):  # flat order is row-major order
-        rows = unflatten(least)
         eichler = None if shape is None else shape.canonical()
         triangular = None if form is None else _order(unflatten(form), _eichler=eichler)
-        canonical = _order(rows, _canonical=identity, _triangular=triangular, _gorenstein=_gorenstein_scan(rows))
+        canonical = _order(unflatten(least), _canonical=identity, _triangular=triangular)
         selected.append(CensusClass(canonical, classify(canonical, search_cap), count))
     return CensusResult(query, tuple(selected), totals)
 
@@ -225,7 +225,8 @@ def match_family(level: LevelMatrix):
     order (``Family`` refuses a pattern with an instance that is not one).
     The search is finite because the maximal off-diagonal pair sum
     m[i][j] + m[j][i] is a conjugacy invariant and every family pattern
-    realizes it as a, or as a + b.
+    realizes it as a, or as a + b; the sorted list of all pair sums is one
+    too, and an instance whose list differs from the level's is not searched.
     """
     families = [family for family in load_families() if family.n == level.n]
     if not families:
@@ -234,8 +235,10 @@ def match_family(level: LevelMatrix):
         target = canonical_form(level)[0]
     except NotAnOrderError:
         return None
-    rows, n = level.entries, level.n
-    pair_max = max((rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j)), default=0)
+    n = level.n
+    pair_sums = lambda rows: sorted(rows[i][j] + rows[j][i] for j in range(1, n) for i in range(j))
+    sums = pair_sums(level.entries)
+    pair_max = max(sums, default=0)
     for family in families:
         if not family.params:
             assignments = [{}]
@@ -244,6 +247,7 @@ def match_family(level: LevelMatrix):
         else:
             assignments = [{"a": a, "b": pair_max - a} for a in range(1, pair_max)]
         for params in assignments:
-            if canonical_form(family.instantiate(**params))[0] == target:
+            instance = family.instantiate(**params)
+            if pair_sums(instance.entries) == sums and canonical_form(instance)[0] == target:
                 return family, params
     return None

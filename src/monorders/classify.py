@@ -10,8 +10,8 @@ period-1 case), and Bass means hereditary or Eichler of period two.
 The verdicts read the shape that one triangular conjugate carries, found in
 O(n^3) by sorting along a shortest-path preorder, so they take no size cap; a
 census class level carries that form, and ``classify`` keeps it in its report
-and reads the Gorenstein scan off the class's marks too.  Only its canonical
-form keeps a cap (a pruned search over placements, see ``levels.canonical_form``).
+next to the Gorenstein scan of the level's rows.  Only its canonical form
+keeps a cap (a pruned search over placements, see ``levels.canonical_form``).
 """
 
 from __future__ import annotations
@@ -249,17 +249,21 @@ class ClassificationReport:
 
 
 def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> ClassificationReport:
-    """Full classification of a level; total (non-orders get a stub report)."""
+    """Full classification of a level; total (non-orders get a stub report).
+
+    An order's report is written in one update of a bare instance, as ``levels._order`` builds a level."""
     try:
         canonical, _ = canonical_form(m, search_cap)
     except NotAnOrderError as exc:
         return ClassificationReport(is_order=False, order_violation=exc.witness)
-    gw, failing = m._gorenstein if hasattr(m, "_gorenstein") else _gorenstein_scan(m.entries)
+    gw, failing = _gorenstein_scan(m.entries)
     triangular = triangular_form(m)
     shape = None if triangular is None else classify_eichler(triangular)
     hereditary, bass, reason = _bass_verdict(shape)
-    return ClassificationReport(
+    report = object.__new__(ClassificationReport)
+    report.__dict__.update(
         is_order=True,
+        order_violation=None,
         canonical=canonical,
         is_gorenstein=gw is not None,
         gorenstein_witnesses=gw,
@@ -270,3 +274,4 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
         bass_reason=reason,
         triangular=triangular,
     )
+    return report

@@ -327,11 +327,8 @@ def cmd_census(args) -> int:
 
     if args.format == "json":
         for cls in result.classes:
-            line = {
-                "canonical": cls.canonical.to_lists(),
-                "count": cls.count,
-                "report": cls.report.to_dict(),
-            }
+            report = cls.report.to_dict()  # its canonical level is the class level
+            line = {"canonical": report["canonical"], "count": cls.count, "report": report}
             if args.families:
                 line["family"] = _family_match(cls)
             print(_encode(line))

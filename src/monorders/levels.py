@@ -55,8 +55,8 @@ class LevelMatrix:
     validity as an order is a separate query (`is_order`), so intermediate
     states such as enumeration candidates or duals are representable.  A
     level known to be an order carries the private mark ``_checked``; census class
-    levels carry ``_canonical``, ``_triangular`` and ``_gorenstein``, every triangular
-    form ``_eichler``, the values of their readers.  No mark is a dataclass field.
+    levels carry ``_canonical`` and ``_triangular``, every triangular form
+    ``_eichler``, the values of their readers.  No mark is a dataclass field.
     """
 
     entries: tuple[tuple[int, ...], ...]

@@ -106,29 +106,28 @@ def _install_mark_audit():
     ``_order`` builds a level without the constructor's validation, marks it
     an order and gives it the marks its builder passes: a census class level
     gets ``_canonical`` (the witness ``canonical_form`` returns, the level
-    being its own form), ``_triangular`` (what ``triangular_form`` returns)
-    and ``_gorenstein`` (what ``_gorenstein_scan`` returns on its rows), and
-    every triangular form, the census's and each that ``triangular_form``
-    builds, gets ``_eichler`` (what ``classify_eichler`` returns for it: the
-    canonical rotation of its staircase shape, or None).  The wrapper
-    asserts, on an unmarked copy of the rows, that the constructor accepts
-    them and the order scan passes them, that a ``_canonical`` level has a
-    zero first row, the identity as its least canonical sigma and the
+    being its own form) and ``_triangular`` (what ``triangular_form``
+    returns), and every triangular form, the census's and each that
+    ``triangular_form`` builds, gets ``_eichler`` (what ``classify_eichler``
+    returns for it: the canonical rotation of its staircase shape, or None).
+    The wrapper asserts, on an unmarked copy of the rows, that the constructor
+    accepts them and the order scan passes them, that a ``_canonical`` level
+    has a zero first row, the identity as its least canonical sigma and the
     identity as its witness, that ``_triangular`` is the triangular search's
-    answer, ``_gorenstein`` the scan's and ``_eichler`` the shape read off
-    the level's own rows; then it builds the level as ``_order`` does.  The checks run through references taken here,
-    so a test that patches or counts those functions sees no call of the audit.
+    answer and ``_eichler`` the shape read off the level's own rows; then it
+    builds the level as ``_order`` does.  The checks run through references
+    taken here, so a test that patches or counts those functions sees no call
+    of the audit.
     """
     levels = importlib.import_module("monorders.levels")
     classify = importlib.import_module("monorders.classify")
     build, canonical_sigma, identity = levels._order, levels._canonical_sigma, levels.WeylElement.identity
     triangular_rows, staircase_shape = classify._triangular_rows, classify._staircase_shape
-    gorenstein_scan = importlib.import_module("monorders.duality")._gorenstein_scan
 
     def audited(rows, **marks):
         n = len(rows)
         assert order_violation(LevelMatrix(rows)) is None, rows
-        assert set(marks) <= {"_canonical", "_triangular", "_gorenstein", "_eichler"}, marks
+        assert set(marks) <= {"_canonical", "_triangular", "_eichler"}, marks
         if "_canonical" in marks:
             assert not any(rows[0]) and canonical_sigma(rows, n) == tuple(range(n)), rows
             assert marks["_canonical"] == identity(n), marks
@@ -136,8 +135,6 @@ def _install_mark_audit():
         if "_triangular" in marks:
             form = marks["_triangular"]
             assert triangular_rows(rows, n) == (None if form is None else form.entries), rows
-        if "_gorenstein" in marks:
-            assert gorenstein_scan(rows) == marks["_gorenstein"], rows
         if "_eichler" in marks:
             # a triangular form's Eichler shape is its staircase shape, rotated
             assert not any(any(row[i:]) for i, row in enumerate(rows)), rows

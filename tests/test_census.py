@@ -311,7 +311,7 @@ def test_census_classifies_only_the_classes_it_returns(monkeypatch):
     # the filters read verdicts computed in the orbit loop before any class level is built, so a
     # filtered census classifies the 21 Gorenstein classes of (3,10) and no other; unfiltered, all
     # 781. Each kernel runs once per class that needs it, in every module that binds it: one
-    # Gorenstein scan per returned class, for its mark, and one staircase shape per Gorenstein
+    # Gorenstein scan per returned class, in its report, and one staircase shape per Gorenstein
     # class with a form, returned or not
     reports = [c.report for c in census(CensusQuery(3, 10)).classes]
     shaped = sum(report.is_gorenstein and report.triangular is not None for report in reports)
@@ -319,10 +319,12 @@ def test_census_classifies_only_the_classes_it_returns(monkeypatch):
     calls = []
     monkeypatch.setattr(census_module, "classify", lambda level, cap: calls.append(level) or classify(level, cap))
     kernels = {"_gorenstein_scan": [], "_staircase_shape": []}
-    for module in (census_module, importlib.import_module("monorders.classify")):
+    for module in (census_module, *map(importlib.import_module, ("monorders.classify", "monorders.duality"))):
         for name, seen in kernels.items():
-            kernel = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, kernel=kernel, seen=seen: seen.append(args) or kernel(*args))
+            if hasattr(module, name):
+                kernel = getattr(module, name)
+                counting = lambda *args, kernel=kernel, seen=seen: seen.append(args) or kernel(*args)
+                monkeypatch.setattr(module, name, counting)
     for filters, returned in (({"gorenstein"}, 21), ((), 781)):
         calls.clear()
         for seen in kernels.values():
@@ -534,6 +536,23 @@ def test_match_family_matches_orbit_membership(census_result):
     for level in levels:
         hits = [(f, p) for f in load_families() if (p := brute_match_family(level, f)) is not None]
         assert match_family(level) == (hits[0] if hits else None)
+
+
+@pytest.mark.parametrize("bound, searches", [(1, 5), (2, 11), (3, 18)])
+def test_match_family_searches_one_instance_per_gorenstein_class(bound, searches, census_result, monkeypatch):
+    # the sorted pair sums are a conjugacy invariant that passes only the matching instance to the
+    # canonical search: one search per Gorenstein class, where every candidate took 15, 42 and 79.
+    # A class level is its own canonical form, so its side of the comparison makes no search
+    levels_module = importlib.import_module("monorders.levels")
+    gorenstein = [c.canonical for c in census_result(4, bound).classes if c.report.is_gorenstein]
+    sigma = levels_module._canonical_sigma
+    calls = []
+    monkeypatch.setattr(levels_module, "_canonical_sigma", lambda rows, n: calls.append(rows) or sigma(rows, n))
+    matches = [match_family(level) for level in gorenstein]
+    assert len(calls) == len(gorenstein) == searches
+    for level, match in zip(gorenstein, matches):
+        hits = [(f, p) for f in load_families() if (p := brute_match_family(level, f)) is not None]
+        assert match == hits[0], level
 
 
 ENTRY_COEFFS = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "a+b": (1, 1)}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ from monorders import (
     BASS_EICHLER_PERIOD_TWO,
     BASS_HEREDITARY,
     BASS_NOT,
+    ClassificationReport,
     EichlerShape,
     InvalidInputError,
     LevelMatrix,
@@ -31,6 +33,7 @@ from monorders import (
 )
 from monorders.classify import _staircase_shape, _triangular_rows
 from conftest import (
+    ORBIT_SIZES,
     brute_staircase_shape,
     brute_triangular_verdicts,
     enumerate_orders,
@@ -262,6 +265,20 @@ class TestClassify:
             sys.setswitchinterval(interval)
         assert reports == [expected] * 4
         assert [report.to_dict() for report in reports] == [expected.to_dict()] * 4
+
+    def test_report_holds_every_field_as_the_constructor_does(self, census_result):
+        # classify writes an order's report in one update of a bare instance, not through __init__:
+        # it must hold every field, and a copy through __init__ must equal, hash and print the same
+        reports = [c.report for n, bound in ORBIT_SIZES for c in census_result(n, bound).classes]
+        rng = random.Random(0)
+        reports += [classify(random_order(rng, n, 4)) for n in range(1, 8) for _ in range(4)]
+        reports.append(classify(M([[0, 0, 0], [0, 0, 0], [1, 0, 0]])))
+        assert not reports[-1].is_order
+        names = {field.name for field in dataclasses.fields(ClassificationReport)}
+        for report in reports:
+            assert set(vars(report)) == names, report
+            copy = dataclasses.replace(report)
+            assert copy == report and hash(copy) == hash(report) and repr(copy) == repr(report)
 
     def test_report_json_shape(self):
         payload = classify(M([[0, 0], [1, 0]])).to_dict()
