@@ -124,6 +124,8 @@ def _triangular_rows(rows, n):
         for j in range(i):
             ends = (rows[i][j], -rows[j][i])  # m[r][j] - m[r][i] if i <= j, if j <= i
             roots = [r for r in roots if rows[r][j] - rows[r][i] in ends]
+        if not roots:  # no later pair brings a root back
+            return None
     sums = [sum(row) for row in rows]
     candidates = []
     for base in map(rows.__getitem__, roots):

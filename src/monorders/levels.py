@@ -364,8 +364,11 @@ def _canonical_sigma(rows, n):
     the least head, and among them the least sorted tail, are kept; the least
     sigma is then among the leaves.  Transpositions that fix the level (see
     ``_swappable``) split the indices into classes, built once before the
-    first position.  A root, or a candidate at any later position, is taken
-    only when the smaller members of its class are all placed.  No leaf's
+    first position by testing only the pairs of equal row-plus-column sums:
+    with zero diagonal, a swap of x and y with shift d that fixes the level
+    makes row x sum n*d more than row y and column x n*d less.  A root, or a
+    candidate at any later position, is taken only when the smaller members
+    of its class are all placed.  No leaf's
     level is lost: a candidate x with an unplaced smaller member swaps with
     the least such y, the swap fixes the level, so the node that places y
     builds the same rows and follows the rule.  Nor is the least sigma: two
@@ -375,7 +378,8 @@ def _canonical_sigma(rows, n):
     """
     everyone = tuple(range(n))
     # lesser[x] holds the smaller members of x's class; x is placed only after them
-    lesser = [frozenset(y for y in range(x) if _swappable(rows, n, x, y)) for x in everyone]
+    sums = [sum(row) + sum(column) for row, column in zip(rows, zip(*rows))]
+    lesser = [frozenset(y for y in range(x) if sums[x] == sums[y] and _swappable(rows, n, x, y)) for x in everyone]
     # one node per root a_0 that is least in its class; with no keys yet every
     # other index is a candidate, and its head is its pair sum with a_0
     nodes = [((r,), everyone[:r] + everyone[r + 1:], ((),) * (n - 1)) for r in everyone if not lesser[r]]
@@ -386,7 +390,7 @@ def _canonical_sigma(rows, n):
         for prefix, rest, keys in nodes:
             base = rows[prefix[0]]
             for i, x in enumerate(rest):
-                if keys[i] != low or not lesser[x].isdisjoint(rest):
+                if keys[i] != low or lesser[x] and not lesser[x].isdisjoint(rest):
                     continue
                 rx = rows[x]
                 bx = base[x]

@@ -36,6 +36,7 @@ from monorders.levels import _order, _unflatten
 
 from conftest import (
     AUDITED,
+    ORBIT_SIZES,
     ORDER_BUILDERS,
     brute_canonical_form,
     enumerate_orders,
@@ -568,6 +569,61 @@ def test_interchangeable_indices_test_their_classes_once(monkeypatch):
     monkeypatch.setattr(levels, "_swappable", lambda rows, n, x, y: pairs.append((x, y)) or swappable(rows, n, x, y))
     assert canonical_form(normalized.level, search_cap=200) == (normalized.level, WeylElement.identity(n))
     assert len(pairs) == n * (n - 1) // 2
+
+
+def _counted_swaps(monkeypatch, rows, n):
+    # (sigma, pairs tested, pairs accepted) of one canonical search on rows
+    levels = importlib.import_module("monorders.levels")
+    swappable = levels._swappable
+    tested, accepted = [], []
+
+    def counting(rows, n, x, y):
+        tested.append((x, y))
+        if swappable(rows, n, x, y):
+            accepted.append((x, y))
+            return True
+        return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(levels, "_swappable", counting)
+        return levels._canonical_sigma(rows, n), tested, accepted
+
+
+def test_shifted_interchangeable_indices_keep_their_class(monkeypatch):
+    # a conjugate of the 6x6 all-fives level by distinct shifts: its row sums
+    # all differ, by n times the shift differences, but its row-plus-column
+    # sums agree, so every pair is tested and every pair fixes the level.  A
+    # search that loses this class runs to n! leaves, and past the sweep sizes
+    # to no end
+    n = 6
+    rng = random.Random("shifted-fives")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = conjugate(_fives(n), WeylElement(tuple(rng.sample(range(-9, 10), n)), tuple(perm))).entries
+    assert len({sum(row) for row in rows}) == n
+    sigma, tested, accepted = _counted_swaps(monkeypatch, rows, n)
+    assert sorted(tested) == sorted(accepted) == [(x, y) for x in range(n) for y in range(x)]
+    assert sigma == brute_canonical_form(LevelMatrix(rows))[1].perm
+
+
+@pytest.mark.parametrize("source", ["random", "census"])
+def test_swap_classes_test_only_pairs_of_equal_sums(source, monkeypatch, census_result):
+    # a transposition (x y) with shift d that fixes a zero-diagonal level makes
+    # row x sum n*d more than row y and column x n*d less, so x and y have equal
+    # row-plus-column sums: the search tests exactly those pairs, and no pair
+    # of unequal sums fixes the level
+    if source == "random":
+        rng = random.Random("equal-sums")
+        inputs = [random_order(rng, n, b).entries for n in range(1, 9) for b in (0, 1, 2, 5) for _ in range(3)]
+    else:
+        inputs = [c.canonical.entries for n, bound in ORBIT_SIZES for c in census_result(n, bound).classes]
+    swappable = importlib.import_module("monorders.levels")._swappable
+    for rows in inputs:
+        n = len(rows)
+        sums = [sum(row) + sum(column) for row, column in zip(rows, zip(*rows))]
+        _, tested, _ = _counted_swaps(monkeypatch, rows, n)
+        assert sorted(tested) == [(x, y) for x in range(n) for y in range(x) if sums[x] == sums[y]], rows
+        assert all(sums[x] == sums[y] for x in range(n) for y in range(x) if swappable(rows, n, x, y)), rows
 
 
 class TestUpperTriangular:
