@@ -3,17 +3,17 @@
 The raw orders, zero in the first row and on the diagonal and in [0, bound]
 elsewhere, come as flat tuples from the box search that ``overorders`` also
 uses.  Orbit marking folds them into classes: a class's first raw order,
-normalized by each root and permuted by the permutations fixing 0 (the
-getters of ``_orbit_tables``), gives its n! members, whose in-box count is
-its size, whose least is its canonical level and whose least with a zero
-upper triangle is its triangular form; those permutations form a group, so
-a root whose normalization the orbit already holds is skipped.  The search
-drops a raw order whose leading k-block, 3 <= k < n, has a lesser pair-order
-key under a permutation of 1..k-1, so it meets each class first at its
-pair-order-least in-box member.  A k-block passes only if its smaller
-leading blocks do (a permutation that lessens a j-block lessens the k-block,
-whose key begins with the j-block's), so the largest test admits to
-``pending`` exactly the in-box members the search will still visit.
+normalized by each root and permuted by the permutations fixing 0, gives its
+n! members, whose in-box count is its size, whose least is its canonical
+level and whose least with a zero upper triangle is its triangular form;
+those permutations form a group, so a root whose normalization the orbit
+already holds is skipped.  The search drops a raw order whose leading
+k-block, 3 <= k < n, has a lesser pair-order key under a permutation of
+1..k-1, so it meets each class first at its pair-order-least in-box member.
+That test reads the first k(k-1) cells of one pair-order list by the first
+(k-1)! of one colex list of those permutations, so it extends each smaller
+block's test: a k-block passes only if they do, and the largest test admits
+to ``pending`` exactly the in-box members the search will still visit.
 
 The loop reads every filter verdict.  Row r of an order m has a Gorenstein
 witness column j, m[r][k] + m[k][j] = c for all k (so c = m[r][j]), iff
@@ -110,13 +110,9 @@ def _census_box(n, bound):
     return LevelMatrix.zero(n).entries, hi
 
 
-def _least_block(n, k):
-    # the leading k-block test: no conjugate by a permutation of 1..k-1 has a lesser key in the search's
-    # pair order, m[a][b] then m[b][a] for (a, b) = (0,1), (0,2), (1,2), ..  In colex order, identity first,
-    # the permutations of 1..j-1 lead, so a level whose j-block is not least fails within (j-1)! keys
-    cells = [cell for b in range(1, k) for a in range(b) for cell in ((a, b), (b, a))]
-    orders = ((0, *tail[::-1]) for tail in itertools.permutations(range(k - 1, 0, -1)))
-    own, *others = [itemgetter(*(n * order[a] + order[b] for a, b in cells)) for order in orders]
+def _least_block(keys):
+    # the leading-block test: no key getter reads a lesser key than the first one, the identity's
+    own, *others = keys
 
     def test(flat):
         key = own(flat)
@@ -141,13 +137,17 @@ def _orbit_tables(n):
     normalize = lambda flat: flat + tuple(map(sub, map(add, pair(flat), row_a(flat)), row_b(flat)))
     roots = [slice(start, start + n * n) for start in range(0, n ** 3, n * n)]
     # one n*n index getter per permutation fixing 0; tuple for the identity (a 1-index itemgetter returns an entry)
-    fixing_0 = ((0, *tail) for tail in itertools.islice(itertools.permutations(range(1, n)), 1, None))
-    gets = (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in fixing_0))
+    fixing_0 = [(0, *tail[::-1]) for tail in itertools.permutations(range(n - 1, 0, -1))]
+    gets = (tuple, *(itemgetter(*(n * a + b for a in order for b in order)) for order in fixing_0[1:]))
     # an orbit member, whose row 0 and diagonal are zero, is upper triangular iff its strict upper
     # triangle in rows 1..n-1 is zero; two copies of entry 0 keep the getter's value a tuple at every n
     upper = itemgetter(0, 0, *(n * i + j for i in range(1, n) for j in range(i + 1, n)))
-    # the tests of the leading k-blocks, 3 <= k < n, that the box search and the pending set apply
-    blocks = {k: _least_block(n, k) for k in range(3, n)}
+    # the k-block test, 3 <= k < n, keys the first k(k-1) cells of the search's pair order, m[a][b] then m[b][a]
+    # for (a, b) = (0,1), (0,2), (1,2), .., by the permutations fixing k..n-1, which lead fixing_0 (colex order)
+    pair_order = [cell for b in range(1, n) for a in range(b) for cell in ((a, b), (b, a))]
+    key = lambda order, k: itemgetter(*(n * order[a] + order[b] for a, b in pair_order[: k * (k - 1)]))
+    leading = lambda k: itertools.takewhile(lambda order: order[k:] == tuple(range(k, n)), fixing_0)
+    blocks = {k: _least_block([key(order, k) for order in leading(k)]) for k in range(3, n)}
     return normalize, roots, gets, upper, upper((0,) * (n * n)), blocks
 
 

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("--budget", type=_positive_int, default=None, help="oracle search budget")
     p_classify.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default 8)"
+        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default %(default)s)"
     )
     p_classify.set_defaults(func=cmd_classify)
 
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_census.add_argument("--budget", type=_positive_int, default=None, help="raw-space budget")
     p_census.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default 8)"
+        "--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="canonical-form size cap (default %(default)s)"
     )
     p_census.set_defaults(func=cmd_census)
 

@@ -147,6 +147,17 @@ def test_pruned_search_keeps_the_orders_whose_leading_blocks_are_least(n, bound,
     assert (len(pruned) < len(orders)) == (n >= 4 and bound >= 1)
 
 
+@pytest.mark.parametrize("n,bound", [(5, 2), (6, 1)])
+def test_a_block_test_passes_only_where_each_smaller_one_does(n, bound):
+    # the k-block test keys the first k(k-1) pair-order cells by the first (k-1)! permutations
+    # fixing 0, so each key of a j-block test, j < k, begins a key of the k-block test: on every
+    # order of the box the verdicts by k read passes, then failures, and the largest test decides
+    blocks = _orbit_tables(n)[5]
+    for flat in _orders_in_box(*_census_box(n, bound)):
+        passes = [blocks[k](flat) for k in sorted(blocks)]
+        assert passes == sorted(passes, reverse=True), flat
+
+
 @pytest.mark.parametrize("n,bound", [(4, 2), (4, 3), (5, 1)])
 def test_pending_holds_only_raw_orders_the_search_visits(n, bound, monkeypatch, census_result):
     # the census admits to pending only the in-box members whose leading blocks pass, which

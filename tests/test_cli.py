@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import monorders
-from monorders import LevelMatrix, cli
+from monorders import DEFAULT_SEARCH_CAP, LevelMatrix, cli
 from monorders.cli import EXIT_DISAGREEMENT, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 from conftest import random_order
@@ -494,7 +494,8 @@ class TestCensus:
         for command in ("classify", "census"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
-            assert "--cap CAP canonical-form size cap (default 8)" in " ".join(capsys.readouterr().out.split())
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"--cap CAP canonical-form size cap (default {DEFAULT_SEARCH_CAP})" in text
 
     def test_families_requires_size_four(self, capsys):
         assert main(["census", "3", "--families"]) == EXIT_INPUT

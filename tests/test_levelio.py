@@ -142,14 +142,16 @@ def _outcome(parse, text):
 def test_a_row_matches_whole_exactly_when_each_token_is_an_integer():
     # the reader's one-pass test of a row against the brute reader's per-token
     # test, with every code point between two signed tokens and alone:
-    # str.split() yields the \S+ tokens, and _ROW matches exactly when each is an _INT
+    # str.split() yields the \S+ tokens, and _ROW matches exactly when each is an _INT.
+    # The sweep goes one plane of 65,536 code points at a time, so it holds one plane's strings
     brute_token, brute_int = re.compile(r"\S+"), re.compile(r"[+-]?\d+")
-    points = list(map(chr, range(sys.maxunicode + 1)))
-    for bodies in ([f"+0{c}-0" for c in points], points):
-        spaced = " ".join(bodies)  # one pass: a body that splits apart differently shifts the rest
-        assert spaced.split() == brute_token.findall(spaced)
-        clean = [not body.isspace() and all(map(brute_int.fullmatch, brute_token.findall(body))) for body in bodies]
-        assert [body for body, ok in zip(bodies, clean) if bool(_ROW.fullmatch(body)) != ok] == []
+    for start in range(0, sys.maxunicode + 1, 65536):
+        points = list(map(chr, range(start, start + 65536)))  # chr refuses a code point past the last plane
+        for bodies in ([f"+0{c}-0" for c in points], points):
+            spaced = " ".join(bodies)  # one pass: a body that splits apart differently shifts the rest
+            assert spaced.split() == brute_token.findall(spaced)
+            clean = [not body.isspace() and all(map(brute_int.fullmatch, brute_token.findall(body))) for body in bodies]
+            assert [body for body, ok in zip(bodies, clean) if bool(_ROW.fullmatch(body)) != ok] == []
 
 
 def test_every_special_code_point_reads_as_the_brute_reader_reads_it():
