@@ -211,74 +211,74 @@ def _orders_in_box(lo, hi, blocks=None):
     """Row-major flat tuples of every order m with lo[i][j] <= m[i][j] <= hi[i][j] off the diagonal.
 
     Pairs (i, j), i < j, are set in the order (0,1), (0,2), (1,2), (0,3), ...
-    A triangle through k < i, whose other pairs are set, bounds x = m[i][j] by
-    m[i][k] - m[j][k] <= x, m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j],
-    and y = m[j][i] the same way with i and j swapped; also y >= -x.  Each
-    triangle is met at its last pair, so a pair's cells, in order of x then y,
-    are all viable prefixes, and the orders come in ascending pair-order key
-    m[0][1], m[1][0], m[0][2], m[2][0], m[1][2], ...  A cell is set in the rows
-    that the bounds read and in the flat list that is yielded.  The diagonal of
-    the box is ignored.  Iterative.
+    Each triangle (i, k, j), k < j, bounds x = m[i][j] by m[i][k] - m[j][k] <= x,
+    m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j], and y = m[j][i] likewise
+    with i and j swapped; also y >= -x.  ``up`` and ``down`` hold each set entry
+    and, for an entry not yet set (m[k][j], m[j][k], i < k), its box bounds.  A
+    triangle's last pair reads only set entries, so the yields are the box's
+    orders, in ascending pair-order key m[0][1], m[1][0], m[0][2], m[2][0], ...;
+    the last pair's cells are yielded in place.  Checked, not proved: no range is
+    empty on 1,250 seeded overorder boxes (n = 3..7, 3.6 M orders) or census boxes.
 
     ``blocks`` maps k to a test of the flat list, run once the pair (k-2, k-1)
     completes the leading k-block; a node that fails is dropped.  The census
-    tests keep a block that is pair-order-least among its conjugates by the
-    permutations of 1..k-1, so each class keeps its pair-order-least in-box
-    member M: a permutation that lessens M's k-block, extended by the identity
-    on k..n-1, would map M to a member of its class and box with a lesser key.
+    tests keep a block pair-order-least among its conjugates by the permutations
+    of 1..k-1, so each class keeps its pair-order-least in-box member M: a
+    permutation lessening M's k-block, extended by the identity on k..n-1,
+    would map M to a member of its class and box with a lesser key.
     """
     n = len(lo)
-    # pairs[0] is a placeholder on the diagonal whose one cell is (0, 0): the first
-    # real pair's cells are then built like any other's, and n = 1 needs no case
-    pairs = [(0, 0)] + [(i, j) for j in range(1, n) for i in range(j)]
-    # tests[d] is the test of the leading block that pairs[d] completes, or None
+    # pairs[0], a placeholder whose one cell is (0, 0), is also the last pair at n = 1
+    pairs = [(0, 0)] + ([(i, j) for j in range(1, n) for i in range(j)] or [(0, 0)])
     blocks = blocks or {}
-    tests = [blocks.get(q + 1) if p == q - 1 else None for p, q in pairs]
-    last = len(pairs) - 1
-    cur = [[0] * n for _ in range(n)]
+    up = [list(row) for row in hi]
+    down = [list(row) for row in lo]
+    # steps[d]: pairs[d], its flat positions and block test, then the same of the next pair and its triangles' k
+    steps = [
+        (p, q, n * p + q, n * q + p, blocks.get(q + 1) if p == q - 1 else None,
+         i, j, n * i + j, n * j + i, tuple((k, up[k], down[k]) for k in range(j) if k != i))
+        for (p, q), (i, j) in zip(pairs, pairs[1:])
+    ]
+    last = len(steps) - 1
     flat = [0] * (n * n)
     stack = [iter([(0, 0)])]  # stack[d] iterates the cells of pairs[d] left to try
     while stack:
         depth = len(stack) - 1
-        p, q = pairs[depth]
-        pq = n * p + q
-        qp = n * q + p
-        if depth == last:
-            for flat[pq], flat[qp] in stack.pop():
-                yield tuple(flat)
-            continue
-        test = tests[depth]
-        row_p = cur[p]
-        row_q = cur[q]
-        i, j = pairs[depth + 1]
-        row_i = cur[i]
-        row_j = cur[j]
+        p, q, pq, qp, test, i, j, ij, ji, around = steps[depth]
+        up_p, down_p, up_q, down_q = up[p], down[p], up[q], down[q]
+        up_i, up_j, down_j = up[i], up[j], down[j]
         for x, y in stack[depth]:
-            row_p[q] = flat[pq] = x
-            row_q[p] = flat[qp] = y
+            up_p[q] = down_p[q] = flat[pq] = x
+            up_q[p] = down_q[p] = flat[qp] = y
             if test is not None and not test(flat):
                 continue
-            x_lo, x_hi, y_lo, y_hi = lo[i][j], hi[i][j], lo[j][i], hi[j][i]
-            # comparisons, not max and min: this loop is the search's hot spot
-            for row_k, cik, cjk in zip(cur, row_i, row_j[:i]):
-                cki = row_k[i]
-                ckj = row_k[j]
-                if x_lo < cik - cjk:
-                    x_lo = cik - cjk
-                if x_lo < ckj - cki:
-                    x_lo = ckj - cki
-                if x_hi > cik + ckj:
-                    x_hi = cik + ckj
-                if y_lo < cki - ckj:
-                    y_lo = cki - ckj
-                if y_lo < cjk - cik:
-                    y_lo = cjk - cik
-                if y_hi > cjk + cki:
-                    y_hi = cjk + cki
-            stack.append(iter([(x, y) for x in range(x_lo, x_hi + 1) for y in range(max(y_lo, -x), y_hi + 1)]))
-            break
+            x_lo, x_hi, y_lo, y_hi = down[i][j], up_i[j], down_j[i], up_j[i]
+            for k, up_k, down_k in around:  # comparisons, not max and min: the search's hot spot
+                ik = up_i[k]  # m[i][k] and m[k][i] are set
+                ki = up_k[i]
+                jk = up_j[k]
+                kj = up_k[j]
+                if x_lo < ik - jk:
+                    x_lo = ik - jk
+                if x_lo < down_k[j] - ki:
+                    x_lo = down_k[j] - ki
+                if x_hi > ik + kj:
+                    x_hi = ik + kj
+                if y_lo < down_j[k] - ik:
+                    y_lo = down_j[k] - ik
+                if y_lo < ki - kj:
+                    y_lo = ki - kj
+                if y_hi > jk + ki:
+                    y_hi = jk + ki
+            if depth < last:
+                stack.append(iter([(x, y) for x in range(x_lo, x_hi + 1) for y in range(max(y_lo, -x), y_hi + 1)]))
+                break
+            for flat[ij] in range(x_lo, x_hi + 1):  # the last pair
+                for flat[ji] in range(max(y_lo, -flat[ij]), y_hi + 1):
+                    yield tuple(flat)
         else:
-            stack.pop()
+            stack.pop()  # pairs[depth] is exhausted, and reads as its box bounds again
+            up_p[q], down_p[q], up_q[p], down_q[p] = hi[p][q], lo[p][q], hi[q][p], lo[q][p]
 
 
 @cache

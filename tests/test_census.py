@@ -101,7 +101,7 @@ BOXES = {
     "triangular-4-3": triangular_box(4, 3),
     "overorders-sec52": overorder_box(SEC52_ROWS),
     "overorders-staircase4": overorder_box(STAIRCASES[4]),
-    # the leaf assembly at both ends: n = 5 with negative lows, and n = 1, whose one pair is the placeholder
+    # the in-place last pair at both ends: n = 5 with negative lows, and n = 1, where it is the placeholder
     "overorders-5": overorder_box(((0, 0, 0, 0, 1),) * 3 + ((1, 1, 1, 0, 2), (0, 0, 0, 0, 0))),
     "overorders-1": overorder_box(((0,),)),
     # at n = 2 there is no third index, so the cells alone enforce m[0][1] + m[1][0] >= 0
@@ -119,16 +119,19 @@ def flat_product_orders():
     return functools.cache(lambda lo, hi: [sum(rows, ()) for rows in product_orders(lo, hi)])
 
 
-@pytest.mark.parametrize("name", sorted(BOXES))
-def test_box_search_matches_product_filter(name, flat_product_orders):
-    # without block tests the search yields every order of the box, as a flat row-major tuple
-    lo, hi = BOXES[name]
-    assert sorted(_orders_in_box(lo, hi)) == flat_product_orders(lo, hi)
-
-
 def pair_order_key(flat, n):
     """m[0][1], m[1][0], m[0][2], m[2][0], m[1][2], ...: the order in which the box search sets the cells."""
     return [flat[n * a + b] for j in range(1, n) for i in range(j) for a, b in ((i, j), (j, i))]
+
+
+@pytest.mark.parametrize("name", sorted(BOXES))
+def test_box_search_matches_product_filter(name, flat_product_orders):
+    # without block tests the search yields every order of the box, as a flat row-major tuple,
+    # in ascending pair order, the last pair's cells, yielded in place, included
+    lo, hi = BOXES[name]
+    found = list(_orders_in_box(lo, hi))
+    assert sorted(found) == flat_product_orders(lo, hi)
+    assert found == sorted(found, key=lambda flat: pair_order_key(flat, len(lo)))
 
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -12,13 +13,14 @@ from monorders import (
     conjugate,
     is_gorenstein,
     is_order,
+    load_families,
     order_violation,
     overorder_bound,
     overorders,
 )
 from monorders import cli, oracle as oracle_module
 from monorders.cli import EXIT_INPUT, EXIT_OK, main
-from conftest import brute_bass_oracle, enumerate_orders, random_weyl
+from conftest import brute_bass_oracle, enumerate_orders, random_order, random_weyl
 
 
 def M(rows):
@@ -228,3 +230,61 @@ def test_bass_oracle_matches_full_scan(name, census_result):
     rng = random.Random(name)
     for m in levels + [conjugate(m, random_weyl(rng, m.n)) for m in levels]:
         assert bass_oracle(m) == brute_bass_oracle(m), m
+
+
+def cover_walk(rows):
+    """Every overorder of the order ``rows``, by a breadth-first walk from it over the covers.
+
+    The cover C_ij(m) of an order m, for i != j with m[i][j] + m[j][i] >= 1, is the min-plus
+    closure of m - e_ij: entry (p, q) becomes min(m[p][q], m[p][i] + m[i][j] - 1 + m[j][q]),
+    since a shortest path uses the lowered edge at most once (a cycle through it weighs at
+    least m[i][j] - 1 + m[j][i] >= 0), so C_ij(m) is an order, and it is below m.
+    The walk reaches every overorder m' of m, an order with m' <= m entrywise.  If m' != m,
+    take (i, j) with m'[i][j] < m[i][j].  Then m[i][j] + m[j][i] >= m'[i][j] + 1 + m'[j][i] >= 1,
+    so C_ij(m) exists; and m' <= m - e_ij, so every entry of m' is at most each path sum
+    m'[p][i] + m'[i][j] + m'[j][q] <= m[p][i] + m[i][j] - 1 + m[j][q], that is m' <= C_ij(m).
+    Each step lowers the entry sum by at least 1, so by induction on sum(m) - sum(m') the
+    walk from C_ij(m) reaches m'.  Every node of the walk is an order below m: no more.
+    """
+    n = len(rows)
+    seen = {rows}
+    queue = deque(seen)
+    while queue:
+        m = queue.popleft()
+        for i in range(n):
+            for j in range(n):
+                if i == j or m[i][j] + m[j][i] < 1:
+                    continue
+                cover = tuple(
+                    tuple(min(m[p][q], m[p][i] + m[i][j] - 1 + m[j][q]) for q in range(n)) for p in range(n)
+                )
+                if cover not in seen:
+                    seen.add(cover)
+                    queue.append(cover)
+    return seen
+
+
+# (n, largest random entry, pair-range product window, count): orders drawn as the
+# oracle-bass benchmark draws its own, with the tests' random_order
+COVER_WALK_DRAWS = {"random-4": (4, 3, (512, 2048), 20), "random-5": (5, 2, (4096, 16384), 10)}
+
+
+@pytest.fixture(scope="module")
+def cover_walk_levels():
+    """The levels of test_overorders_match_the_cover_walk by case, drawn once per module."""
+    levels = {"family6-2-2": [next(f for f in load_families() if f.index == 6).instantiate(a=2, b=2)]}
+    rng = random.Random("cover-walk")
+    for name, (n, bound, (low, high), count) in COVER_WALK_DRAWS.items():
+        levels[name] = []
+        while len(levels[name]) < count:
+            m = random_order(rng, n, bound)
+            if low <= overorder_bound(m) < high:
+                levels[name].append(m)
+    return levels
+
+
+@pytest.mark.parametrize("name", ["family6-2-2", *COVER_WALK_DRAWS])
+def test_overorders_match_the_cover_walk(name, cover_walk_levels):
+    # the box search against a walk that never reads a box: the same members, in entry order
+    for m in cover_walk_levels[name]:
+        assert [member.entries for member in overorders(m).members] == sorted(cover_walk(m.entries)), m
