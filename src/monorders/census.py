@@ -4,16 +4,17 @@ The raw orders, zero in the first row and on the diagonal and in [0, bound]
 elsewhere, come as flat tuples from the box search that ``overorders`` also
 uses.  Orbit marking folds them into classes: a class's first raw order,
 normalized by each root and permuted by the permutations fixing 0, gives its
-n! members, whose in-box count is its size, whose least is its canonical
-level and whose least with a zero upper triangle is its triangular form;
-those permutations form a group, so a root whose normalization the orbit
-already holds is skipped.  The search drops a raw order whose leading
-k-block, 3 <= k < n, has a lesser pair-order key under a permutation of
-1..k-1, so it meets each class first at its pair-order-least in-box member.
-That test reads the first k(k-1) cells of one pair-order list by the first
-(k-1)! of one colex list of those permutations, so it extends each smaller
-block's test: a k-block passes only if they do, and the largest test admits
-to ``pending`` exactly the in-box members the search will still visit.
+n! members, whose least is its canonical level and whose least with a zero
+upper triangle is its triangular form.  Those permutations form a group, so a
+root whose normalization the orbit already holds is skipped: the kept roots'
+orbits are disjoint, and a class's count sums its in-box roots' orbit sizes.
+The search drops a raw order whose leading k-block, 3 <= k < n, has a lesser
+pair-order key under a permutation of 1..k-1, so it meets each class first at
+its pair-order-least in-box member.  That test reads the first k(k-1) cells of
+one pair-order list by the first (k-1)! of one colex list of those
+permutations, so it extends each smaller block's test: a k-block passes only
+if they do, and the largest test admits to ``pending``, root by root, exactly
+the in-box members the search will still visit.
 
 The loop reads every filter verdict.  Row r of an order m has a Gorenstein
 witness column j, m[r][k] + m[k][j] = c for all k (so c = m[r][j]), iff
@@ -176,33 +177,31 @@ def census(query: CensusQuery, budget: int = DEFAULT_BUDGET, search_cap: int = D
             pending.remove(flat)
             continue
         norms = normalize(flat)
-        in_box = set()
+        count = 0
         orbit = set()
         gorenstein = True
         for root in roots:
             norm = norms[root]
             if norm not in orbit:  # else a permutation fixing 0 maps an earlier root's onto it: same members
                 gorenstein = gorenstein and (0,) * n in columns(norm)  # the zero-column rule, until a root fails
-                members = {get(norm) for get in gets}  # the conjugates sending this root to 0
+                members = {get(norm) for get in gets}  # the conjugates sending this root to 0, a new orbit
                 # normalized conjugates are nonnegative: in the box iff max <= bound, one test per root
                 if max(norm) <= bound:
-                    in_box |= members
+                    count += len(members)
+                    pending.update(filter(blocks[n - 1], members) if blocks else members)
                 orbit |= members
         if gorenstein or keeps_others:  # the least upper triangular member, in one pass
             form = min([member for member in orbit if upper(member) == zeros], default=None)
             shape = _staircase_shape(unflatten(form), n) if gorenstein and form is not None else None
             passed = _passed(gorenstein, shape, form is not None)
             if passed >= query.filters:
-                kept[min(orbit)] = len(in_box), form, shape
+                kept[min(orbit)] = count, form, shape
         else:  # the filters drop the class, which has no shape to read: only whether it has a form counts
             passed = _passed(False, None, zeros in map(upper, orbit))
         for name in passed:
             totals[name] += 1
-        totals["raw_orders"] += len(in_box)  # every raw order is an in-box member of exactly one class
+        totals["raw_orders"] += count  # every raw order is an in-box member of exactly one class
         totals["classes"] += 1
-        if blocks:  # keep the in-box members that the search will visit: the largest block test decides
-            in_box = set(filter(blocks[n - 1], in_box))
-        pending |= in_box
         pending.remove(flat)  # flat, the search's own visit, is an in-box member that passes every block test
 
     identity = WeylElement.identity(n)  # the canonical_form witness of every class level

@@ -213,14 +213,14 @@ def _orders_in_box(lo, hi, blocks=None):
     Pairs (i, j), i < j, are set in the order (0,1), (0,2), (1,2), (0,3), ...
     Each triangle (i, k, j), k < j, bounds x = m[i][j] by m[i][k] - m[j][k] <= x,
     m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j], and y = m[j][i] likewise
-    with i and j swapped; also y >= -x.  ``up`` and ``down`` hold each set entry
-    and, for an entry not yet set (m[k][j], m[j][k], i < k), its box bounds.  A
-    triangle's last pair reads only set entries, so the yields are the box's
-    orders, in ascending pair-order key m[0][1], m[1][0], m[0][2], m[2][0], ...;
-    the last pair's cells are yielded in place.  Checked, not proved: no range is
-    empty on 1,250 seeded overorder boxes (n = 3..7, 3.6 M orders) or census boxes.
+    with i and j swapped; also y >= -x.  Two flat mirrors, ``up`` and ``down``, hold
+    each set entry and, for one not yet set (m[k][j], m[j][k], i < k), its box bounds.
+    A triangle's last pair reads only set entries, so the leaves are the box's orders,
+    in ascending pair-order key m[0][1], m[1][0], ...  A leaf is ``up``, its last pair
+    set in place, then reset to the box.  Checked, not proved: no range is empty on
+    1,250 seeded overorder boxes (n = 3..7, 3.6 M orders) or census boxes.
 
-    ``blocks`` maps k to a test of the flat list, run once the pair (k-2, k-1)
+    ``blocks`` maps k to a test of ``up``, run once the pair (k-2, k-1)
     completes the leading k-block; a node that fails is dropped.  The census
     tests keep a block pair-order-least among its conjugates by the permutations
     of 1..k-1, so each class keeps its pair-order-least in-box member M: a
@@ -231,54 +231,54 @@ def _orders_in_box(lo, hi, blocks=None):
     # pairs[0], a placeholder whose one cell is (0, 0), is also the last pair at n = 1
     pairs = [(0, 0)] + ([(i, j) for j in range(1, n) for i in range(j)] or [(0, 0)])
     blocks = blocks or {}
-    up = [list(row) for row in hi]
-    down = [list(row) for row in lo]
-    # steps[d]: pairs[d], its flat positions and block test, then the same of the next pair and its triangles' k
+    up = [x for row in hi for x in row]
+    down = [x for row in lo for x in row]
+    up[:: n + 1] = down[:: n + 1] = [0] * n  # the diagonal, 0 whatever the box holds there
+    lo, hi = tuple(down), tuple(up)  # the box, flat
+    # steps[d]: the flat positions of pairs[d] and its block test, then those of the next pair and its triangles
     steps = [
-        (p, q, n * p + q, n * q + p, blocks.get(q + 1) if p == q - 1 else None,
-         i, j, n * i + j, n * j + i, tuple((k, up[k], down[k]) for k in range(j) if k != i))
+        (n * p + q, n * q + p, blocks.get(q + 1) if p == q - 1 else None,
+         n * i + j, n * j + i, tuple((n * i + k, n * k + i, n * j + k, n * k + j) for k in range(j) if k != i))
         for (p, q), (i, j) in zip(pairs, pairs[1:])
     ]
     last = len(steps) - 1
-    flat = [0] * (n * n)
     stack = [iter([(0, 0)])]  # stack[d] iterates the cells of pairs[d] left to try
     while stack:
         depth = len(stack) - 1
-        p, q, pq, qp, test, i, j, ij, ji, around = steps[depth]
-        up_p, down_p, up_q, down_q = up[p], down[p], up[q], down[q]
-        up_i, up_j, down_j = up[i], up[j], down[j]
+        pq, qp, test, ij, ji, around = steps[depth]
         for x, y in stack[depth]:
-            up_p[q] = down_p[q] = flat[pq] = x
-            up_q[p] = down_q[p] = flat[qp] = y
-            if test is not None and not test(flat):
+            up[pq] = down[pq] = x
+            up[qp] = down[qp] = y
+            if test is not None and not test(up):
                 continue
-            x_lo, x_hi, y_lo, y_hi = down[i][j], up_i[j], down_j[i], up_j[i]
-            for k, up_k, down_k in around:  # comparisons, not max and min: the search's hot spot
-                ik = up_i[k]  # m[i][k] and m[k][i] are set
-                ki = up_k[i]
-                jk = up_j[k]
-                kj = up_k[j]
-                if x_lo < ik - jk:
-                    x_lo = ik - jk
-                if x_lo < down_k[j] - ki:
-                    x_lo = down_k[j] - ki
-                if x_hi > ik + kj:
-                    x_hi = ik + kj
-                if y_lo < down_j[k] - ik:
-                    y_lo = down_j[k] - ik
-                if y_lo < ki - kj:
-                    y_lo = ki - kj
-                if y_hi > jk + ki:
-                    y_hi = jk + ki
+            x_lo, x_hi, y_lo, y_hi = lo[ij], hi[ij], lo[ji], hi[ji]
+            for ik, ki, jk, kj in around:  # comparisons, not max and min: the search's hot spot
+                m_ik = up[ik]  # m[i][k] and m[k][i] are set
+                m_ki = up[ki]
+                m_jk = up[jk]
+                m_kj = up[kj]
+                if x_lo < m_ik - m_jk:
+                    x_lo = m_ik - m_jk
+                if x_lo < down[kj] - m_ki:
+                    x_lo = down[kj] - m_ki
+                if x_hi > m_ik + m_kj:
+                    x_hi = m_ik + m_kj
+                if y_lo < down[jk] - m_ik:
+                    y_lo = down[jk] - m_ik
+                if y_lo < m_ki - m_kj:
+                    y_lo = m_ki - m_kj
+                if y_hi > m_jk + m_ki:
+                    y_hi = m_jk + m_ki
             if depth < last:
                 stack.append(iter([(x, y) for x in range(x_lo, x_hi + 1) for y in range(max(y_lo, -x), y_hi + 1)]))
                 break
-            for flat[ij] in range(x_lo, x_hi + 1):  # the last pair
-                for flat[ji] in range(max(y_lo, -flat[ij]), y_hi + 1):
-                    yield tuple(flat)
+            for up[ij] in range(x_lo, x_hi + 1):  # the last pair
+                for up[ji] in range(max(y_lo, -up[ij]), y_hi + 1):
+                    yield tuple(up)
+            up[ij], up[ji] = hi[ij], hi[ji]  # unset again for the shallower pairs
         else:
             stack.pop()  # pairs[depth] is exhausted, and reads as its box bounds again
-            up_p[q], down_p[q], up_q[p], down_q[p] = hi[p][q], lo[p][q], hi[q][p], lo[q][p]
+            up[pq], down[pq], up[qp], down[qp] = hi[pq], lo[pq], hi[qp], lo[qp]
 
 
 @cache

@@ -106,6 +106,8 @@ BOXES = {
     "overorders-1": overorder_box(((0,),)),
     # at n = 2 there is no third index, so the cells alone enforce m[0][1] + m[1][0] >= 0
     "overorders-2": overorder_box(((0, 2), (1, 0))),
+    # a box whose diagonal is not zero, which the search ignores: every yield's diagonal is 0
+    "diagonal-3": (((-1, 0, 0), (0, -2, 0), (0, 0, -3)), ((5, 1, 1), (1, 7, 1), (1, 1, 9))),
     **{
         f"overorders-random3-{seed}": overorder_box(random_order(random.Random(seed), 3, 3).entries)
         for seed in range(4)
@@ -127,9 +129,10 @@ def pair_order_key(flat, n):
 @pytest.mark.parametrize("name", sorted(BOXES))
 def test_box_search_matches_product_filter(name, flat_product_orders):
     # without block tests the search yields every order of the box, as a flat row-major tuple,
-    # in ascending pair order, the last pair's cells, yielded in place, included
+    # in ascending pair order, the last pair's cells, yielded in place, included, and a zero diagonal
     lo, hi = BOXES[name]
     found = list(_orders_in_box(lo, hi))
+    assert all(not any(flat[:: len(lo) + 1]) for flat in found)
     assert sorted(found) == flat_product_orders(lo, hi)
     assert found == sorted(found, key=lambda flat: pair_order_key(flat, len(lo)))
 
