@@ -213,11 +213,11 @@ def _orders_in_box(lo, hi, blocks=None):
     Pairs (i, j), i < j, are set in the order (0,1), (0,2), (1,2), (0,3), ...
     Each triangle (i, k, j), k < j, bounds x = m[i][j] by m[i][k] - m[j][k] <= x,
     m[k][j] - m[k][i] <= x and x <= m[i][k] + m[k][j], and y = m[j][i] likewise
-    with i and j swapped; also y >= -x.  Two flat mirrors, ``up`` and ``down``, hold
-    each set entry and, for one not yet set (m[k][j], m[j][k], i < k), its box bounds.
-    A triangle's last pair reads only set entries, so the leaves are the box's orders,
-    in ascending pair-order key m[0][1], m[1][0], ...  A leaf is ``up``, its last pair
-    set in place, then reset to the box.  Checked, not proved: no range is empty on
+    with i and j swapped; also y >= -x.  The flat list ``up`` holds the entries set
+    so far, and one not yet set (m[k][j], m[j][k], i < k) counts with its bound read
+    from the box.  A triangle's last pair reads only set entries, so the leaves are
+    the box's orders, in ascending pair-order key m[0][1], m[1][0], ...  A leaf is
+    ``up``, its last pair set in place.  Checked, not proved: no range is empty on
     1,250 seeded overorder boxes (n = 3..7, 3.6 M orders) or census boxes.
 
     ``blocks`` maps k to a test of ``up``, run once the pair (k-2, k-1)
@@ -232,13 +232,15 @@ def _orders_in_box(lo, hi, blocks=None):
     pairs = [(0, 0)] + ([(i, j) for j in range(1, n) for i in range(j)] or [(0, 0)])
     blocks = blocks or {}
     up = [x for row in hi for x in row]
-    down = [x for row in lo for x in row]
-    up[:: n + 1] = down[:: n + 1] = [0] * n  # the diagonal, 0 whatever the box holds there
-    lo, hi = tuple(down), tuple(up)  # the box, flat
-    # steps[d]: the flat positions of pairs[d] and its block test, then those of the next pair and its triangles
+    lo = [x for row in lo for x in row]
+    up[:: n + 1] = lo[:: n + 1] = [0] * n  # the diagonal, 0 whatever the box holds there
+    lo, hi = tuple(lo), tuple(up)  # the box, flat
+    # steps[d]: the flat positions of pairs[d] and its block test, then those of the next pair and its
+    # triangles, each with the floor and ceiling of its far entries m[j][k], m[k][j]: set ones if k < i
     steps = [
-        (n * p + q, n * q + p, blocks.get(q + 1) if p == q - 1 else None,
-         n * i + j, n * j + i, tuple((n * i + k, n * k + i, n * j + k, n * k + j) for k in range(j) if k != i))
+        (n * p + q, n * q + p, blocks.get(q + 1) if p == q - 1 else None, n * i + j, n * j + i,
+         tuple((n * i + k, n * k + i, n * j + k, n * k + j, *((up, up) if k < i else (lo, hi)))
+               for k in range(j) if k != i))
         for (p, q), (i, j) in zip(pairs, pairs[1:])
     ]
     last = len(steps) - 1
@@ -246,25 +248,23 @@ def _orders_in_box(lo, hi, blocks=None):
     while stack:
         depth = len(stack) - 1
         pq, qp, test, ij, ji, around = steps[depth]
-        for x, y in stack[depth]:
-            up[pq] = down[pq] = x
-            up[qp] = down[qp] = y
+        for up[pq], up[qp] in stack[depth]:
             if test is not None and not test(up):
                 continue
             x_lo, x_hi, y_lo, y_hi = lo[ij], hi[ij], lo[ji], hi[ji]
-            for ik, ki, jk, kj in around:  # comparisons, not max and min: the search's hot spot
+            for ik, ki, jk, kj, floor, ceil in around:  # comparisons, not max and min: the search's hot spot
                 m_ik = up[ik]  # m[i][k] and m[k][i] are set
                 m_ki = up[ki]
-                m_jk = up[jk]
-                m_kj = up[kj]
+                m_jk = ceil[jk]
+                m_kj = ceil[kj]
                 if x_lo < m_ik - m_jk:
                     x_lo = m_ik - m_jk
-                if x_lo < down[kj] - m_ki:
-                    x_lo = down[kj] - m_ki
+                if x_lo < floor[kj] - m_ki:
+                    x_lo = floor[kj] - m_ki
                 if x_hi > m_ik + m_kj:
                     x_hi = m_ik + m_kj
-                if y_lo < down[jk] - m_ik:
-                    y_lo = down[jk] - m_ik
+                if y_lo < floor[jk] - m_ik:
+                    y_lo = floor[jk] - m_ik
                 if y_lo < m_ki - m_kj:
                     y_lo = m_ki - m_kj
                 if y_hi > m_jk + m_ki:
@@ -275,10 +275,8 @@ def _orders_in_box(lo, hi, blocks=None):
             for up[ij] in range(x_lo, x_hi + 1):  # the last pair
                 for up[ji] in range(max(y_lo, -up[ij]), y_hi + 1):
                     yield tuple(up)
-            up[ij], up[ji] = hi[ij], hi[ji]  # unset again for the shallower pairs
         else:
-            stack.pop()  # pairs[depth] is exhausted, and reads as its box bounds again
-            up[pq], down[pq], up[qp], down[qp] = hi[pq], lo[pq], hi[qp], lo[qp]
+            stack.pop()  # pairs[depth] is exhausted; its stale cells are read again only once set
 
 
 @cache

@@ -164,6 +164,21 @@ def test_a_block_test_passes_only_where_each_smaller_one_does(n, bound):
         assert passes == sorted(passes, reverse=True), flat
 
 
+def test_interleaved_box_searches_match_separate_runs():
+    # searches alive at once keep their own state: every box of BOXES, and two census boxes with
+    # their block tests, taken three at a time in order of size, so that most groups hold boxes of one
+    # size, and advanced round-robin, one yield each per round; each yields what it yields alone
+    searches = [BOXES[name] for name in sorted(BOXES)]
+    searches += [(*_census_box(n, bound), _orbit_tables(n)[5]) for n, bound in [(4, 2), (5, 1)]]
+    searches.sort(key=lambda args: len(args[0]))
+    for start in range(0, len(searches), 3):
+        group = searches[start:start + 3]
+        alone = [list(_orders_in_box(*args)) for args in group]
+        rounds = list(itertools.zip_longest(*(_orders_in_box(*args) for args in group)))
+        together = [[yields[g] for yields in rounds if yields[g] is not None] for g in range(len(group))]
+        assert together == alone
+
+
 @pytest.mark.parametrize("n,bound", [(4, 2), (4, 3), (5, 1)])
 def test_pending_holds_only_raw_orders_the_search_visits(n, bound, monkeypatch, census_result):
     # the census admits to pending only the in-box members whose leading blocks pass, which
