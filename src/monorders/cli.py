@@ -33,7 +33,6 @@ EXIT_INPUT = 2
 EXIT_DISAGREEMENT = 3
 
 BUDGET_ENV = "MONORDERS_BUDGET"
-BLOCK_INDENT = "  "  # before each row of a level block
 # every --format json line; its payload is a tree built for it, so no cycle check is needed
 _encode = json.JSONEncoder(check_circular=False).encode
 
@@ -66,7 +65,7 @@ def format_level_compact(m) -> str:
 
 
 def format_level_block(m) -> str:
-    return BLOCK_INDENT + str(m).replace("\n", "\n" + BLOCK_INDENT)
+    return "  " + str(m).replace("\n", "\n  ")  # each row indented as the dump lines are
 
 
 def _yesno(flag) -> str:
@@ -92,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{BUDGET_ENV} overrides the default oracle budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's parser, by name, for main
 
     p_check = sub.add_parser("check", help="test the order condition")
     p_check.add_argument("file", help="level file (text or JSON)")
@@ -374,7 +374,14 @@ def _family_match(cls):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # a line is parsed once, by its command's parser, unless it names no command or leaves a word over
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    args = extra = None
+    if argv and argv[0] in parser.commands:
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except MonordersError as exc:
@@ -388,7 +395,8 @@ def entry():
     sys.exit(main())
 
 
-# main's parser, built by its first call; cmd_* patched after that call are not reached
+# main's parsers, built by its first call (cmd_* patched after it are not reached); the
+# top-level one words every refusal that is not a subcommand's own, as for a leftover word
 _parser = functools.cache(build_parser)
 if __name__ == "__main__":
     entry()

@@ -748,3 +748,119 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+def _parse_twice_main(argv):
+    # main as it was when the top-level parser read every line: it picks the
+    # subcommand and hands the rest to that subcommand's parser
+    args = cli._parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except monorders.MonordersError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParsePerLine:
+    # main parses a line once, with its subcommand's parser, and hands every other
+    # line to the top-level parser; the golden file leaves usage errors out, so
+    # these lines pin them, on every Python of the CI matrix
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["--he"],
+            ["-h", "classify", "LEVEL"],
+            ["classify", "LEVEL", "-h"],
+            ["classify", "LEVEL", "--help"],
+            ["nope", "LEVEL"],
+            ["class", "LEVEL"],
+            *(
+                [command, "-h"]
+                for command in ("check", "classify", "dual", "projective", "overorders", "census")
+            ),
+            ["check", "LEVEL", "--form", "json"],
+            ["classify", "LEVEL", "--format=json"],
+            ["dual", "LEVEL", "--he"],
+            ["--", "check", "LEVEL"],
+            ["check", "--", "LEVEL"],
+            ["check", "LEVEL", "--"],
+            ["check", "LEVEL", "extra"],
+            ["check", "LEVEL", "--nope"],
+            ["check", "LEVEL", "--cap", "3"],
+            ["check", "LEVEL", "extra", "--format", "yaml"],
+            ["check", "LEVEL", "--format"],
+            ["check", "LEVEL", "--format", "yaml"],
+            ["--format", "json", "check", "LEVEL"],
+            ["census", "3", "--filter", "nope"],
+            ["classify", "LEVEL", "--cap", "x"],
+            ["census", "3", "--budget", "0"],
+            ["census", "x"],
+            ["census", "3", "4"],
+            ["classify"],
+            ["projective", "LEVEL"],
+            ["projective", "LEVEL", "--type", "-1,0,0,0"],
+            ["projective", "LEVEL", "--type=-1,0,0,0"],
+            ["census", "3", "--filter", "bass", "--filter", "gorenstein", "--format", "json"],
+            ["classify", "LEVEL", "--oracle", "--oracle", "--format", "json"],
+            ["classify", "--format", "json", "--oracle", "LEVEL"],
+            ["census", "--bound", "2", "--dump", "3"],
+            ["overorders", "LEVEL", "--dump"],
+            ["check", "missing.lvl"],
+            ["census", "3", "--families"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(no arguments)",
+    )
+    def test_main_answers_as_the_parse_twice_path(self, argv, sec52_file, capsys, monkeypatch):
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        argv = [sec52_file if arg == "LEVEL" else arg for arg in argv]
+        expected = _outcome(_parse_twice_main, argv, capsys)
+        assert _outcome(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("make", [tuple, iter], ids=["tuple", "iterator"])
+    def test_argv_may_be_any_iterable(self, make, sec52_file, capsys):
+        argv = ["classify", sec52_file, "--format", "json"]
+        expected = _outcome(_parse_twice_main, make(argv), capsys)
+        assert _outcome(main, make(argv), capsys) == expected
+
+    @pytest.mark.parametrize("argv", [["check", "LEVEL"], ["check", "LEVEL", "extra"], ["--help"]])
+    def test_main_reads_sys_argv_when_given_none(self, argv, sec52_file, capsys, monkeypatch):
+        argv = [sec52_file if arg == "LEVEL" else arg for arg in argv]
+        expected = _outcome(_parse_twice_main, argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["monorders", *argv])
+        assert _outcome(lambda _: main(), None, capsys) == expected
+
+    def test_the_top_level_parser_reads_only_the_lines_it_words(self, sec52_file, capsys, monkeypatch):
+        parser = cli._parser()
+        calls = []
+        parse_known_args = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args", lambda *a, **k: calls.append(a) or parse_known_args(*a, **k))
+        for argv in (
+            ["check", sec52_file],
+            ["classify", sec52_file, "--oracle", "--format", "json"],
+            ["dual", sec52_file],
+            ["projective", sec52_file, "--type", "0,1,1,2"],
+            ["overorders", sec52_file, "--dump"],
+            ["census", "3", "--filter", "bass"],
+        ):
+            assert main(argv) in (EXIT_OK, EXIT_NEGATIVE)
+        capsys.readouterr()
+        assert calls == []
+        for argv in (["check", sec52_file, "extra"], ["--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert len(calls) == 1
+            calls.clear()
+        capsys.readouterr()
