@@ -7,7 +7,7 @@ Lines may carry ``#`` comments, and blank lines are skipped.  Each row is matche
 whole by ``_ROW``; only a row it refuses, or one with a token of L or more
 characters, is scanned token by token, so a refusal keeps its line and column.
 The JSON alternative is {"n": int, "m": [[int, ...], ...]}; input starting with
-``{`` is parsed as JSON.
+``{`` is parsed as JSON.  Each grammar validates a level; ``levels._trusted`` builds it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import sys
 
 from .errors import ParseError
-from .levels import LevelMatrix, _is_plain_int
+from .levels import LevelMatrix, _is_plain_int, _trusted
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+")
@@ -59,7 +59,7 @@ def parse_level_text(text: str) -> LevelMatrix:
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries in this row, found {len(tokens)}", line=lineno)
         rows.append(tuple(map(int, tokens)))
-    return LevelMatrix(tuple(rows))
+    return _trusted(LevelMatrix, entries=tuple(rows))
 
 
 def parse_level_json(text: str) -> LevelMatrix:
@@ -86,7 +86,7 @@ def parse_level_json(text: str) -> LevelMatrix:
         for e in row:
             if not _is_plain_int(e):
                 raise ParseError(f"matrix entries must be integers, got {e!r}")
-    return LevelMatrix.from_rows(m)
+    return _trusted(LevelMatrix, entries=tuple(map(tuple, m)))
 
 
 def parse_level(text: str) -> LevelMatrix:
@@ -98,13 +98,13 @@ def parse_level(text: str) -> LevelMatrix:
 
 def load_level(path) -> LevelMatrix:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:  # one read of the whole file, no buffer
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_level(text)
+    return parse_level(text.replace("\r\n", "\n").replace("\r", "\n"))  # a text-mode read's newlines
 
 
 def level_to_text(m: LevelMatrix) -> str:

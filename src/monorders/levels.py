@@ -6,12 +6,12 @@ that entry.  The resulting additive module is a ring, and hence an order,
 exactly when the diagonal exponents vanish and the triangle condition
 m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
-An order is checked where it enters: a public function that needs one raises
-``NotAnOrderError`` through ``_require_order``, worded as the command line
-prints it.  ``order_violation`` marks each level it passes; ``is_order`` and
-``_require_order`` skip a marked level.  ``_order`` builds, already marked, a
-level whose rows the program made from ints as an order, and skips the
-constructor's validation of those rows.
+Each value is validated once, where it enters: the constructors check their fields,
+and the private builders ``_trusted`` (a level a reader parsed, a canonical witness)
+and ``_order`` (int rows built as an order, marked) skip that, under the tests' audit.
+A function that needs an order raises ``NotAnOrderError`` through ``_require_order``,
+worded as the command line prints it.  ``order_violation`` marks each level it passes;
+``is_order`` and ``_require_order`` skip a marked level.
 
 Monomial matrices (a diagonal of uniformizer powers composed with a
 permutation) act on levels by conjugation.  The action is encoded by
@@ -45,6 +45,12 @@ DEFAULT_SEARCH_CAP = 8
 
 def _is_plain_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _trusted(cls, **fields):
+    value = object.__new__(cls)  # fields that their builder proved valid: not checked again
+    value.__dict__.update(fields)
+    return value
 
 
 @dataclass(frozen=True)
@@ -310,10 +316,12 @@ def conjugate(m: LevelMatrix, w: WeylElement) -> LevelMatrix:
     """
     if w.n != m.n:
         raise DimensionMismatch(f"level has size {m.n} but element has size {w.n}")
-    entries, shifts = m.entries, w.shifts
-    order = sorted(range(m.n), key=w.perm.__getitem__)  # order[p] is the index moved to p
-    rows = tuple([tuple([entries[i][j] + shifts[i] - shifts[j] for j in order]) for i in order])
+    rows = _conjugated(m.entries, w.shifts, sorted(range(m.n), key=w.perm.__getitem__))
     return _order(rows) if getattr(m, "_checked", False) else LevelMatrix(rows)
+
+
+def _conjugated(rows, shifts, order):
+    return tuple([tuple([rows[i][j] + shifts[i] - shifts[j] for j in order]) for i in order])  # order[p] goes to p
 
 
 def normalize_positive(m: LevelMatrix) -> PositiveTypeForm:
@@ -348,7 +356,7 @@ def _swappable(rows, n, x, y):
 
 
 def _canonical_sigma(rows, n):
-    """Least sigma whose normalized permutation conjugate of ``rows`` is row-major lex-min.
+    """Least sigma whose normalized permutation conjugate of ``rows`` is row-major lex-min, and its inverse.
 
     Positions are filled one at a time.  With a_0..a_{k-1} placed and x put
     at position k, row k of the conjugate is fixed on the placed columns (the
@@ -416,9 +424,9 @@ def _canonical_sigma(rows, n):
                 nodes.append((prefix + (x,), rest, keys))
         if len(nodes) == 1 and len(set(best)) == len(best):
             break  # one node whose keys fix the rest
-    # order[p] is the index at position p; sigma is its inverse
+    # order[p] is the index at position p; sigma, its inverse, is returned with it
     orders = [prefix + tuple(z for _, z in sorted(zip(keys, rest))) for prefix, rest, keys in nodes]
-    return min(tuple(sorted(everyone, key=order.__getitem__)) for order in orders)
+    return min((tuple(sorted(everyone, key=order.__getitem__)), order) for order in orders)
 
 
 def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tuple[LevelMatrix, WeylElement]:
@@ -436,9 +444,9 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
     _check_search_cap(m.n, search_cap)
     if hasattr(m, "_canonical"):
         return m, m._canonical
-    sigma = _canonical_sigma(m.entries, m.n)
-    w = WeylElement(m.entries[sigma.index(0)], sigma)
-    return conjugate(m, w), w
+    sigma, order = _canonical_sigma(m.entries, m.n)
+    shifts = m.entries[order[0]]  # the row of the index moved to 0, zeroing the first row
+    return _order(_conjugated(m.entries, shifts, order)), _trusted(WeylElement, shifts=shifts, perm=sigma)
 
 
 def is_upper_triangular(m: LevelMatrix) -> bool:

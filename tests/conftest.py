@@ -96,8 +96,11 @@ def census_result():
 # the modules that bind levels._order; each is reached through importlib, since
 # on the package monorders.census and monorders.classify are functions
 ORDER_BUILDERS = ("levels", "census", "classify", "oracle", "families")
-#: how many levels the mark audit re-proved this session, and how many were census class levels
-AUDITED = {"levels": 0, "class levels": 0}
+# the modules that bind levels._trusted: the readers' levels and canonical_form's witness
+TRUSTED_BUILDERS = ("levels", "levelio")
+#: how many levels the mark audit re-proved in this test run, how many were census class levels,
+#: and how many parsed levels and canonical witnesses it rebuilt by their validating constructors
+AUDITED = {"levels": 0, "class levels": 0, LevelMatrix: 0, WeylElement: 0}
 
 
 def _install_mark_audit():
@@ -115,13 +118,17 @@ def _install_mark_audit():
     has a zero first row, the identity as its least canonical sigma and the
     identity as its witness, that ``_triangular`` is the triangular search's
     answer and ``_eichler`` the shape read off the level's own rows; then it
-    builds the level as ``_order`` does.  The checks run through references
-    taken here, so a test that patches or counts those functions sees no call
-    of the audit.
+    builds the level as ``_order`` does.  ``_trusted`` builds, unvalidated, each
+    level a reader parses and each witness ``canonical_form`` returns; its
+    wrapper builds the value by the validating constructor too, which must
+    accept the fields, and asserts that the two are equal and hold the same
+    attributes.  The checks run through references taken here, so a test that
+    patches or counts those functions sees no call of the audit.
     """
     levels = importlib.import_module("monorders.levels")
     classify = importlib.import_module("monorders.classify")
     build, canonical_sigma, identity = levels._order, levels._canonical_sigma, levels.WeylElement.identity
+    trusted = levels._trusted
     triangular_rows, staircase_shape = classify._triangular_rows, classify._staircase_shape
 
     def audited(rows, **marks):
@@ -129,7 +136,8 @@ def _install_mark_audit():
         assert order_violation(LevelMatrix(rows)) is None, rows
         assert set(marks) <= {"_canonical", "_triangular", "_eichler"}, marks
         if "_canonical" in marks:
-            assert not any(rows[0]) and canonical_sigma(rows, n) == tuple(range(n)), rows
+            # the least sigma, and the placement order it inverts, are both the identity
+            assert not any(rows[0]) and canonical_sigma(rows, n) == (tuple(range(n)),) * 2, rows
             assert marks["_canonical"] == identity(n), marks
             AUDITED["class levels"] += 1
         if "_triangular" in marks:
@@ -143,10 +151,21 @@ def _install_mark_audit():
         AUDITED["levels"] += 1
         return build(rows, **marks)
 
+    def audited_trusted(cls, **fields):
+        assert cls in (LevelMatrix, WeylElement), cls
+        value, checked = trusted(cls, **fields), cls(**fields)
+        assert value == checked and vars(value) == vars(checked), fields
+        AUDITED[cls] += 1
+        return value
+
     for name in ORDER_BUILDERS:
         module = importlib.import_module(f"monorders.{name}")
         assert module._order is build, name
         module._order = audited
+    for name in TRUSTED_BUILDERS:
+        module = importlib.import_module(f"monorders.{name}")
+        assert module._trusted is trusted, name
+        module._trusted = audited_trusted
 
 
 _install_mark_audit()
@@ -155,7 +174,8 @@ _install_mark_audit()
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"mark audit: re-proved {AUDITED['levels']:,} levels built as orders, "
-        f"{AUDITED['class levels']:,} of them census class levels"
+        f"{AUDITED['class levels']:,} of them census class levels; rebuilt "
+        f"{AUDITED[LevelMatrix]:,} parsed levels and {AUDITED[WeylElement]:,} canonical witnesses"
     )
 
 

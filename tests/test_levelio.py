@@ -237,3 +237,91 @@ def test_a_clean_row_is_read_without_the_token_scan(monkeypatch):
     assert parse_level_text("2\n+0 -2\n\u0663\t0\n") == LevelMatrix.from_rows([[0, -2], [3, 0]])
     with pytest.raises(AttributeError):
         parse_level_text("2\n0 x\n1 0\n")
+
+
+def _text_mode_outcome(path):
+    # what the reader gave when it opened the file through a text wrapper: the
+    # level or refusal of parse_level on the decoded text, newlines translated
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError, f"cannot read {path}: not UTF-8 text (byte {exc.start})"
+    try:
+        return parse_level(text)
+    except ParseError as exc:
+        return ParseError, str(exc)
+
+
+def _load_outcome(path):
+    try:
+        return load_level(path)
+    except ParseError as exc:
+        return ParseError, str(exc)
+
+
+_PAST_8_KIB = b"# " + b"x" * 8190  # a comment that ends byte 8,192, one text-mode read chunk
+READER_BYTES = {
+    "lf": b"2\n0 0\n1 0\n",
+    "crlf": b"2\r\n0 0\r\n1 0\r\n",
+    "lone-cr": b"2\r0 0\r1 0\r",
+    "mixed": b"3\r\n0 0 0\r0 0 0\n\r\n1 0 0\r",
+    "mixed-fault": b"3\r\n0 0 0\r\r0 0 0\n1 x 0\r\n",
+    "crlf-across-8-kib": _PAST_8_KIB[:-1] + b"\r\n2\r\n0 0\r\n1 0",
+    "bom": b"\xef\xbb\xbf2\n0 0\n1 0\n",
+    "bom-json": b'\xef\xbb\xbf{"n": 1, "m": [[0]]}',
+    "nul": b"2\n0 0\x00\n1 0\n",
+    "nul-alone": b"\x00",
+    "bad-byte-first": b"\xff2\n0 0\n1 0\n",
+    "bad-byte-mid-row": b"2\n0 \xfe0\n1 0\n",
+    "bad-byte-past-8-kib": _PAST_8_KIB + b"\n2\n0 0\n1 \x80\n",
+    "json-lone-cr-fault": b'{\r"n": 2,\r"m": [[0, 0],\r[1 0]]\r}',
+    "json-crlf-fault": b'{\r\n"n": 2,\r\n"m": [[0, 0],\r\n[1, 0]],,\r\n}',
+    "json-cr-in-string": b'{"n": 1, "m": [[0]], "note": "a\rb"}',
+}
+
+
+@pytest.mark.parametrize("name", READER_BYTES)
+def test_load_level_reads_bytes_as_a_text_mode_read_does(name, tmp_path):
+    # load_level decodes the bytes once and translates \r\n and lone \r to \n
+    # itself: each outcome, level or refusal text, is the text wrapper's
+    path = tmp_path / f"{name}.lvl"
+    path.write_bytes(READER_BYTES[name])
+    assert _load_outcome(path) == _text_mode_outcome(path)
+
+
+def test_reader_refusals_name_the_translated_lines_and_absolute_bytes(tmp_path):
+    # the outcomes the differential above compares, pinned: line numbers count
+    # translated line ends, and a bad byte's offset counts from the file's start
+    expected = {
+        "mixed-fault": "line 5, column 3: expected an integer, got 'x'",
+        "bom": "line 1: expected a single integer n on the first line",
+        "nul": "line 2, column 3: expected an integer, got '0\\x00'",
+        "bad-byte-first": "not UTF-8 text (byte 0)",
+        "bad-byte-mid-row": "not UTF-8 text (byte 4)",
+        "bad-byte-past-8-kib": f"not UTF-8 text (byte {len(_PAST_8_KIB) + 9})",
+        "json-lone-cr-fault": "line 4, column 4: invalid JSON: Expecting ',' delimiter",
+    }
+    for name, message in expected.items():
+        path = tmp_path / f"{name}.lvl"
+        path.write_bytes(READER_BYTES[name])
+        with pytest.raises(ParseError) as info:
+            load_level(path)
+        assert str(info.value).endswith(message), name
+    for name in ("lf", "crlf", "lone-cr", "crlf-across-8-kib"):
+        path = tmp_path / f"{name}.lvl"
+        path.write_bytes(READER_BYTES[name])
+        assert load_level(path) == LevelMatrix.from_rows([[0, 0], [1, 0]]), name
+
+
+def test_readers_build_levels_equal_to_validated_ones(monkeypatch):
+    # both readers build their level by levels._trusted, without the
+    # constructor's validation, which their grammar has already done: the
+    # value is a plain level, equal to the validated one and with no mark
+    texts = ["2\n0 -1\n+1 \u0663\n", '{"n": 2, "m": [[0, -1], [1, 3]]}']
+    trusted, built = levelio._trusted, []
+    monkeypatch.setattr(levelio, "_trusted", lambda cls, **fields: built.append(cls) or trusted(cls, **fields))
+    levels = [parse_level(text) for text in texts]
+    assert built == [LevelMatrix, LevelMatrix]
+    for level in levels:
+        assert type(level) is LevelMatrix and vars(level) == {"entries": ((0, -1), (1, 3))}
+        assert level == LevelMatrix.from_rows([[0, -1], [1, 3]])

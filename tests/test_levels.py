@@ -535,6 +535,27 @@ def test_canonical_form_matches_permutation_sweep(name):
         assert canonical_form(m) == brute_canonical_form(m), m
 
 
+@pytest.mark.parametrize("source", ["seeded", "census"])
+def test_canonical_form_is_the_conjugate_by_its_witness(source, census_result):
+    # canonical_form builds its level from the search's placement and its
+    # witness without the constructor's checks: the pair must be exactly what
+    # conjugating by a validated copy of the witness gives, the level marked
+    # as an order.  The census class levels go in as unmarked copies, so each
+    # takes the search instead of returning its own _canonical mark
+    if source == "seeded":
+        rng = random.Random("canonical-witness")
+        inputs = [random_order(rng, n, b) for n in range(1, 10) for b in (0, 1, 3) for _ in range(3)]
+        inputs += [conjugate(m, random_weyl(rng, m.n)) for m in inputs]
+    else:
+        inputs = [LevelMatrix(c.canonical.entries) for c in census_result(4, 2).classes]
+        assert not any(map(_marked_canonical, inputs))
+    for m in inputs:
+        form, w = canonical_form(m, search_cap=9)
+        assert (form, w) == (conjugate(m, w), w), m
+        assert w == WeylElement(w.shifts, w.perm) and vars(w) == vars(WeylElement(w.shifts, w.perm)), m
+        assert _marked(form) and not any(form.entries[0]), m
+
+
 def _fives(n):
     # every off-diagonal entry 5: each index is interchangeable with every other
     return M([[5 * (i != j) for j in range(n)] for i in range(n)])
@@ -586,7 +607,7 @@ def _counted_swaps(monkeypatch, rows, n):
 
     with monkeypatch.context() as patch:
         patch.setattr(levels, "_swappable", counting)
-        return levels._canonical_sigma(rows, n), tested, accepted
+        return levels._canonical_sigma(rows, n)[0], tested, accepted
 
 
 def test_shifted_interchangeable_indices_keep_their_class(monkeypatch):

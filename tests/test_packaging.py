@@ -57,6 +57,21 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert done.stderr.count("\n") == 1
 
 
+def test_module_entry_point_reads_any_line_ends_and_names_a_bad_byte(tmp_path):
+    # the CRLF, lone-CR and non-UTF-8 files of the packaging smoke test in CI
+    cases = [
+        (b"2\r\n0 0\r\n1 0\r\n", 0, "order: yes\n"),
+        (b"2\r0 0\r1 0\r", 0, "order: yes\n"),
+        (b"2\n0 \xff\n1 0\n", 2, ""),
+    ]
+    for index, (data, code, out) in enumerate(cases):
+        path = tmp_path / f"level-{index}.lvl"
+        path.write_bytes(data)
+        done = run_python("-m", "monorders.cli", "check", str(path))
+        assert (done.returncode, done.stdout) == (code, out), done.stderr
+    assert done.stderr == f"error: cannot read {path}: not UTF-8 text (byte 4)\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_closed_stdout_ends_the_command_by_sigpipe():
     # the reader takes one line and closes, as `| head -1` does; the dump's 200 kB
