@@ -24,9 +24,11 @@ from .duality import _gorenstein_scan
 from .levels import (
     DEFAULT_SEARCH_CAP,
     LevelMatrix,
+    _conjugated,
     _is_plain_int,
     _order,
     _require_order,
+    _trusted,
     canonical_form,
     is_upper_triangular,
 )
@@ -130,7 +132,7 @@ def _triangular_rows(rows, n):
     candidates = []
     for base in map(rows.__getitem__, roots):
         order = sorted(range(n), key=[s + n * b for s, b in zip(sums, base)].__getitem__)
-        candidates.append(tuple([tuple([rows[i][j] + base[i] - base[j] for j in order]) for i in order]))
+        candidates.append(_conjugated(rows, base, order))
     return min(candidates, default=None)
 
 
@@ -253,7 +255,7 @@ class ClassificationReport:
 def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> ClassificationReport:
     """Full classification of a level; total (non-orders get a stub report).
 
-    An order's report is written in one update of a bare instance, as ``levels._order`` builds a level."""
+    An order's report is built by ``levels._trusted``, which writes its fields without the constructor."""
     try:
         canonical, _ = canonical_form(m, search_cap)
     except NotAnOrderError as exc:
@@ -262,18 +264,16 @@ def classify(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> Classifica
     triangular = triangular_form(m)
     shape = None if triangular is None else classify_eichler(triangular)
     hereditary, bass, reason = _bass_verdict(shape)
-    report = object.__new__(ClassificationReport)
-    report.__dict__.update(
-        is_order=True,
-        order_violation=None,
-        canonical=canonical,
-        is_gorenstein=gw is not None,
-        gorenstein_witnesses=gw,
-        gorenstein_failing_row=failing,
-        eichler=shape,
-        is_hereditary=hereditary,
-        is_bass=bass,
-        bass_reason=reason,
-        triangular=triangular,
-    )
-    return report
+    return _trusted(ClassificationReport, {
+        "is_order": True,
+        "order_violation": None,
+        "canonical": canonical,
+        "is_gorenstein": gw is not None,
+        "gorenstein_witnesses": gw,
+        "gorenstein_failing_row": failing,
+        "eichler": shape,
+        "is_hereditary": hereditary,
+        "is_bass": bass,
+        "bass_reason": reason,
+        "triangular": triangular,
+    })

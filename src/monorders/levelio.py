@@ -59,7 +59,7 @@ def parse_level_text(text: str) -> LevelMatrix:
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries in this row, found {len(tokens)}", line=lineno)
         rows.append(tuple(map(int, tokens)))
-    return _trusted(LevelMatrix, entries=tuple(rows))
+    return _trusted(LevelMatrix, {"entries": tuple(rows)})
 
 
 def parse_level_json(text: str) -> LevelMatrix:
@@ -86,7 +86,7 @@ def parse_level_json(text: str) -> LevelMatrix:
         for e in row:
             if not _is_plain_int(e):
                 raise ParseError(f"matrix entries must be integers, got {e!r}")
-    return _trusted(LevelMatrix, entries=tuple(map(tuple, m)))
+    return _trusted(LevelMatrix, {"entries": tuple(map(tuple, m))})
 
 
 def parse_level(text: str) -> LevelMatrix:

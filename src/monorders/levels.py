@@ -6,9 +6,9 @@ that entry.  The resulting additive module is a ring, and hence an order,
 exactly when the diagonal exponents vanish and the triangle condition
 m[i][k] <= m[i][j] + m[j][k] holds for all index triples; ``is_order``
 decides this and ``order_violation`` reports the first broken constraint.
-Each value is validated once, where it enters: the constructors check their fields,
-and the private builders ``_trusted`` (a level a reader parsed, a canonical witness)
-and ``_order`` (int rows built as an order, marked) skip that, under the tests' audit.
+Each value is validated once, where it enters: the constructors check their fields, and
+the one private builder ``_trusted`` skips that, under the tests' audit, for a parsed
+level, a canonical witness, a report, and (through ``_order``) int rows built as an order.
 A function that needs an order raises ``NotAnOrderError`` through ``_require_order``,
 worded as the command line prints it.  ``order_violation`` marks each level it passes;
 ``is_order`` and ``_require_order`` skip a marked level.
@@ -47,7 +47,7 @@ def _is_plain_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _trusted(cls, **fields):
+def _trusted(cls, fields):  # one dict, not keywords, which a Python call would pack again
     value = object.__new__(cls)  # fields that their builder proved valid: not checked again
     value.__dict__.update(fields)
     return value
@@ -206,11 +206,9 @@ def is_order(m: LevelMatrix) -> bool:
 
 
 def _order(rows, **marks):
-    # a level of int rows built as an order: not validated, marked so that it is not
-    # checked again, and given the further private marks its builder proved
-    m = object.__new__(LevelMatrix)
-    m.__dict__.update(marks, entries=rows, _checked=True)  # where the frozen field and marks live
-    return m
+    # a level of int rows built as an order, marked so that it is not checked again,
+    # and given the further private marks its builder proved
+    return _trusted(LevelMatrix, {"entries": rows, "_checked": True, **marks})
 
 
 def _orders_in_box(lo, hi, blocks=None):
@@ -446,7 +444,7 @@ def canonical_form(m: LevelMatrix, search_cap: int = DEFAULT_SEARCH_CAP) -> tupl
         return m, m._canonical
     sigma, order = _canonical_sigma(m.entries, m.n)
     shifts = m.entries[order[0]]  # the row of the index moved to 0, zeroing the first row
-    return _order(_conjugated(m.entries, shifts, order)), _trusted(WeylElement, shifts=shifts, perm=sigma)
+    return _order(_conjugated(m.entries, shifts, order)), _trusted(WeylElement, {"shifts": shifts, "perm": sigma})
 
 
 def is_upper_triangular(m: LevelMatrix) -> bool:

@@ -11,6 +11,7 @@ import pytest
 
 from monorders import (
     CensusQuery,
+    ClassificationReport,
     EichlerShape,
     LevelMatrix,
     ParseError,
@@ -93,45 +94,53 @@ def census_result():
     return functools.cache(lambda n, bound, filters=(): census(CensusQuery(n, bound, filters)))
 
 
-# the modules that bind levels._order; each is reached through importlib, since
-# on the package monorders.census and monorders.classify are functions
-ORDER_BUILDERS = ("levels", "census", "classify", "oracle", "families")
-# the modules that bind levels._trusted: the readers' levels and canonical_form's witness
-TRUSTED_BUILDERS = ("levels", "levelio")
+# the modules that bind levels._trusted, each reached through importlib, since on the package
+# monorders.classify is a function; _order, in levels, builds through levels' own binding
+TRUSTED_BUILDERS = ("levels", "levelio", "classify")
 #: how many levels the mark audit re-proved in this test run, how many were census class levels,
-#: and how many parsed levels and canonical witnesses it rebuilt by their validating constructors
-AUDITED = {"levels": 0, "class levels": 0, LevelMatrix: 0, WeylElement: 0}
+#: and how many parsed levels, canonical witnesses and reports it rebuilt by their constructors
+AUDITED = {"levels": 0, "class levels": 0, LevelMatrix: 0, WeylElement: 0, ClassificationReport: 0}
 
 
 def _install_mark_audit():
-    """Re-prove, in every test, each private mark that ``_order`` sets.
+    """Re-prove, in every test, each value that ``_trusted`` builds unvalidated.
 
-    ``_order`` builds a level without the constructor's validation, marks it
-    an order and gives it the marks its builder passes: a census class level
-    gets ``_canonical`` (the witness ``canonical_form`` returns, the level
-    being its own form) and ``_triangular`` (what ``triangular_form``
-    returns), and every triangular form, the census's and each that
-    ``triangular_form`` builds, gets ``_eichler`` (what ``classify_eichler``
-    returns for it: the canonical rotation of its staircase shape, or None).
-    The wrapper asserts, on an unmarked copy of the rows, that the constructor
-    accepts them and the order scan passes them, that a ``_canonical`` level
-    has a zero first row, the identity as its least canonical sigma and the
-    identity as its witness, that ``_triangular`` is the triangular search's
-    answer and ``_eichler`` the shape read off the level's own rows; then it
-    builds the level as ``_order`` does.  ``_trusted`` builds, unvalidated, each
-    level a reader parses and each witness ``canonical_form`` returns; its
-    wrapper builds the value by the validating constructor too, which must
-    accept the fields, and asserts that the two are equal and hold the same
-    attributes.  The checks run through references taken here, so a test that
-    patches or counts those functions sees no call of the audit.
+    ``_trusted`` is the library's one builder that skips a constructor's
+    validation.  ``_order`` builds through it each level known to be an order,
+    with the field ``_checked`` and the marks its builder passes: a census
+    class level gets ``_canonical`` (the witness ``canonical_form`` returns,
+    the level being its own form) and ``_triangular`` (what
+    ``triangular_form`` returns), and every triangular form, the census's and
+    each that ``triangular_form`` builds, gets ``_eichler`` (what
+    ``classify_eichler`` returns for it: the canonical rotation of its
+    staircase shape, or None).  For such a build the wrapper asserts, on an
+    unmarked copy of the rows, that the constructor accepts them and the order
+    scan passes them, that a ``_canonical`` level has a zero first row, the
+    identity as its least canonical sigma and the identity as its witness,
+    that ``_triangular`` is the triangular search's answer and ``_eichler``
+    the shape read off the level's own rows.  Every other value, a level a
+    reader parses, a witness ``canonical_form`` returns or a report
+    ``classify`` returns, is built by its validating constructor too, which
+    must accept the fields, and the two must be equal and hold the same
+    attributes.  The one wrapper replaces ``_trusted`` in every module of
+    ``TRUSTED_BUILDERS``.  The checks run through references taken here, so a
+    test that patches or counts those functions sees no call of the audit.
     """
     levels = importlib.import_module("monorders.levels")
     classify = importlib.import_module("monorders.classify")
-    build, canonical_sigma, identity = levels._order, levels._canonical_sigma, levels.WeylElement.identity
-    trusted = levels._trusted
+    trusted, canonical_sigma, identity = levels._trusted, levels._canonical_sigma, levels.WeylElement.identity
     triangular_rows, staircase_shape = classify._triangular_rows, classify._staircase_shape
 
-    def audited(rows, **marks):
+    def audited(cls, fields):
+        if "_checked" not in fields:
+            assert cls in (LevelMatrix, WeylElement, ClassificationReport), cls
+            value, checked = trusted(cls, fields), cls(**fields)
+            assert value == checked and vars(value) == vars(checked), fields
+            AUDITED[cls] += 1
+            return value
+        marks = dict(fields)
+        rows, checked = marks.pop("entries"), marks.pop("_checked")
+        assert cls is LevelMatrix and checked is True, fields
         n = len(rows)
         assert order_violation(LevelMatrix(rows)) is None, rows
         assert set(marks) <= {"_canonical", "_triangular", "_eichler"}, marks
@@ -149,23 +158,12 @@ def _install_mark_audit():
             shape = staircase_shape(rows, n)
             assert marks["_eichler"] == (None if shape is None else shape.canonical()), rows
         AUDITED["levels"] += 1
-        return build(rows, **marks)
+        return trusted(cls, fields)
 
-    def audited_trusted(cls, **fields):
-        assert cls in (LevelMatrix, WeylElement), cls
-        value, checked = trusted(cls, **fields), cls(**fields)
-        assert value == checked and vars(value) == vars(checked), fields
-        AUDITED[cls] += 1
-        return value
-
-    for name in ORDER_BUILDERS:
-        module = importlib.import_module(f"monorders.{name}")
-        assert module._order is build, name
-        module._order = audited
     for name in TRUSTED_BUILDERS:
         module = importlib.import_module(f"monorders.{name}")
         assert module._trusted is trusted, name
-        module._trusted = audited_trusted
+        module._trusted = audited
 
 
 _install_mark_audit()
@@ -175,7 +173,8 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"mark audit: re-proved {AUDITED['levels']:,} levels built as orders, "
         f"{AUDITED['class levels']:,} of them census class levels; rebuilt "
-        f"{AUDITED[LevelMatrix]:,} parsed levels and {AUDITED[WeylElement]:,} canonical witnesses"
+        f"{AUDITED[LevelMatrix]:,} parsed levels, {AUDITED[WeylElement]:,} canonical witnesses "
+        f"and {AUDITED[ClassificationReport]:,} reports"
     )
 
 

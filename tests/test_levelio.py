@@ -319,7 +319,7 @@ def test_readers_build_levels_equal_to_validated_ones(monkeypatch):
     # value is a plain level, equal to the validated one and with no mark
     texts = ["2\n0 -1\n+1 \u0663\n", '{"n": 2, "m": [[0, -1], [1, 3]]}']
     trusted, built = levelio._trusted, []
-    monkeypatch.setattr(levelio, "_trusted", lambda cls, **fields: built.append(cls) or trusted(cls, **fields))
+    monkeypatch.setattr(levelio, "_trusted", lambda cls, fields: built.append(cls) or trusted(cls, fields))
     levels = [parse_level(text) for text in texts]
     assert built == [LevelMatrix, LevelMatrix]
     for level in levels:

@@ -37,7 +37,7 @@ from monorders.levels import _order, _unflatten
 from conftest import (
     AUDITED,
     ORBIT_SIZES,
-    ORDER_BUILDERS,
+    TRUSTED_BUILDERS,
     brute_canonical_form,
     enumerate_orders,
     random_order,
@@ -154,16 +154,17 @@ class TestLevelMatrix:
 
 
 def test_the_mark_audit_wraps_every_order_builder():
-    # conftest re-proves each level _order builds, in every module of the package that binds it
-    audit = importlib.import_module("monorders.levels")._order
+    # conftest checks each value _trusted builds, in every module of the package that binds
+    # it; _order builds through levels' binding, so each level built as an order is re-proved
+    audit = importlib.import_module("monorders.levels")._trusted
     assert audit.__module__ == "conftest"
     binders = set()
     for info in pkgutil.iter_modules(importlib.import_module("monorders").__path__):
         module = importlib.import_module(f"monorders.{info.name}")
-        if hasattr(module, "_order"):
-            assert module._order is audit, info.name
+        if hasattr(module, "_trusted"):
+            assert module._trusted is audit, info.name
             binders.add(info.name)
-    assert binders == set(ORDER_BUILDERS)
+    assert binders == set(TRUSTED_BUILDERS)
     before = dict(AUDITED)
     classes = census(CensusQuery(3, 1)).totals["classes"]
     assert AUDITED["class levels"] - before["class levels"] == classes
