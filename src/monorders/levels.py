@@ -33,7 +33,6 @@ repeats a scan; the census gives each class level its marks before handing it ou
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter
 from typing import Iterable
 
@@ -283,9 +282,8 @@ def _orders_in_box(lo, hi, blocks=None):
             stack.pop()  # pairs[depth] is exhausted; its stale cells are read again only once set
 
 
-@cache
 def _unflatten(n):
-    """The rows of a flat row-major n x n tuple, by one getter of row slices per n, built once and kept."""
+    """The rows of a flat row-major n x n tuple, by a getter of row slices built per call."""
     if n == 1:
         return lambda flat: (flat,)  # an itemgetter of one slice would return the slice itself
     return itemgetter(*(slice(start, start + n) for start in range(0, n * n, n)))

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+import math
 import random
 import re
 import sys
@@ -66,6 +67,40 @@ def random_weyl(rng: random.Random, n: int, shift_bound: int = 3) -> WeylElement
     return WeylElement(shifts, tuple(perm))
 
 
+def M(rows):
+    return LevelMatrix.from_rows(rows)
+
+
+#: the Gorenstein order of section 5.2 that is not Bass, and its non-Gorenstein overorder
+SEC52 = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
+SEC52_OVER = M([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
+
+
+def staircase(blocks, a):
+    """Upper triangular, a below the diagonal blocks: Eichler with invariant ``blocks``."""
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
+
+
+def product_orders(lo, hi):
+    """Every level of the box, filtered by is_order, in row-major lex order: the box search's oracle."""
+    n = len(lo)
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    ranges = [range(lo[i][j], hi[i][j] + 1) for i, j in cells]
+    for combo in itertools.product(*ranges):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), value in zip(cells, combo):
+            rows[i][j] = value
+        level = LevelMatrix.from_rows(rows)
+        if is_order(level):
+            yield level.entries
+
+
+def overorder_box(rows):
+    """(lo, hi) = (-m^T, m): the box of the overorders of m, whose lows are negative."""
+    return tuple(tuple(-row[i] for row in rows) for i in range(len(rows))), rows
+
+
 def triangular_box(n: int, bound: int):
     """(lo, hi) of the upper triangular levels with below-diagonal entries in [0, bound]."""
     hi = tuple(tuple(bound if j < i else 0 for j in range(n)) for i in range(n))
@@ -92,6 +127,38 @@ ORBIT_SIZES = CENSUS_SIZES + [(3, 10), (6, 0), (7, 0)]
 def census_result():
     """census(CensusQuery(n, bound, filters)), each query run once per test session."""
     return functools.cache(lambda n, bound, filters=(): census(CensusQuery(n, bound, filters)))
+
+
+#: the labelled preorders (OEIS A000798) and partial orders (OEIS A001035) on k = 0..8 points
+PREORDERS = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354)
+POSETS = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
+
+
+def bound_one_raw_orders(n: int) -> int:
+    """The raw orders of the (n, 1) census: the sum over s of C(n-1, s) * p(n-1-s), p = PREORDERS.
+
+    A raw order m of (n, 1) has a zero diagonal, a zero row 0 and entries in
+    {0, 1}.  Let i R j mean m[i][j] = 0, a reflexive relation.  The triangle
+    inequality m[i][k] <= m[i][j] + m[j][k] can only fail as 1 <= 0 + 0, when
+    i R j and j R k but not i R k, so m is an order iff R is a preorder.
+    Row 0 is zero, so 0 R j for every j, and R is fixed by its restriction R'
+    to 1..n-1 and by S, the j != 0 with j R 0.  Let T be the points of R'
+    related to every point of 1..n-1.  A j of S is in T (j R 0 R k), and a t
+    of T is in S once S holds some j (t R j R 0), so S is empty or S = T.
+    Either choice leaves R transitive.  With S empty only 0 relates to 0, so
+    a chain i R j R k through 0 starts at 0.  With S = T, a chain i R j R 0
+    has j in T, so i is in T and i R 0; a chain i R 0 R k has i in T, so
+    i R k.  So the raw orders count each preorder R' once with S empty (the
+    s = 0 term), and once more when its T has s >= 1 points.  Such an R' is
+    a choice of the s points of T and any preorder on the other n-1-s
+    points, none of which relates to T: a point related to a point of T is
+    in T.
+
+    Twins, i != j with m[i][j] + m[j][i] = 0, are points with i R j and
+    j R i.  So a twin-free raw order has S empty, since each j of S is a
+    twin of 0, and R' a partial order: POSETS[n - 1] of them.
+    """
+    return sum(math.comb(n - 1, s) * PREORDERS[n - 1 - s] for s in range(n))
 
 
 # the modules that bind levels._trusted, each reached through importlib, since on the package

@@ -30,15 +30,14 @@ from monorders import (
     truncate,
 )
 from conftest import (
+    SEC52,
+    SEC52_OVER,
     brute_match_family,
     enumerate_orders,
     enumerate_triangular_orders,
     random_order,
     random_weyl,
 )
-
-SEC52 = LevelMatrix.from_rows([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
-SEC52_OVER = LevelMatrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
 
 
 @contextmanager

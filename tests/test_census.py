@@ -39,20 +39,24 @@ from monorders.levels import _orders_in_box, _unflatten
 from conftest import (
     CENSUS_SIZES,
     ORBIT_SIZES,
+    POSETS,
+    PREORDERS,
+    SEC52,
+    M,
     _conjugates,
+    bound_one_raw_orders,
     brute_canonical_form,
     brute_census_counts,
     brute_least_blocks,
     brute_match_family,
     brute_triangular_verdicts,
+    overorder_box,
+    product_orders,
     random_order,
     random_weyl,
+    staircase,
     triangular_box,
 )
-
-
-def M(rows):
-    return LevelMatrix.from_rows(rows)
 
 
 class TestCensusQuery:
@@ -74,33 +78,11 @@ class TestCensusQuery:
             assert str(info.value) == message
 
 
-def product_orders(lo, hi):
-    """Test oracle: every level of the box, filtered by is_order, in row-major lex order."""
-    n = len(lo)
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    ranges = [range(lo[i][j], hi[i][j] + 1) for i, j in cells]
-    for combo in itertools.product(*ranges):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), value in zip(cells, combo):
-            rows[i][j] = value
-        level = LevelMatrix.from_rows(rows)
-        if is_order(level):
-            yield level.entries
-
-
-def overorder_box(rows):
-    """(lo, hi) = (-m^T, m): the box of the overorders of m, whose lows are negative."""
-    return tuple(tuple(-row[i] for row in rows) for i in range(len(rows))), rows
-
-
-SEC52_ROWS = ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 0))
-STAIRCASES = {n: tuple(tuple(int(j < i) for j in range(n)) for i in range(n)) for n in (3, 4)}
-
 BOXES = {
     **{f"census-{n}-{b}": _census_box(n, b) for n, b in CENSUS_SIZES},
     "triangular-4-3": triangular_box(4, 3),
-    "overorders-sec52": overorder_box(SEC52_ROWS),
-    "overorders-staircase4": overorder_box(STAIRCASES[4]),
+    "overorders-sec52": overorder_box(SEC52.entries),
+    "overorders-staircase4": overorder_box(staircase((1,) * 4, 1).entries),
     # the in-place last pair at both ends: n = 5 with negative lows, and n = 1, where it is the placeholder
     "overorders-5": overorder_box(((0, 0, 0, 0, 1),) * 3 + ((1, 1, 1, 0, 2), (0, 0, 0, 0, 0))),
     "overorders-1": overorder_box(((0,),)),
@@ -231,6 +213,31 @@ def test_class_levels_are_their_own_canonical_form(n, bound, census_result):
         fast = canonical_form(cls.canonical)
         assert fast[0] is cls.canonical and cls.report.canonical is cls.canonical
         assert fast == canonical_form(LevelMatrix(cls.canonical.entries)) == brute_canonical_form(cls.canonical)
+
+
+def test_preorder_and_poset_tables_match_a_brute_count():
+    # every relation on k <= 4 points holding the diagonal, by its set of off-diagonal pairs
+    for k in range(5):
+        pairs = list(itertools.permutations(range(k), 2))
+        preorders = posets = 0
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            related = {(i, i) for i in range(k)} | set(itertools.compress(pairs, bits))
+            if all((i, l) in related for i, j in related for jj, l in related if j == jj):
+                preorders += 1
+                posets += all((j, i) not in related for i, j in related if i != j)
+        assert (preorders, posets) == (PREORDERS[k], POSETS[k]), k
+
+
+@pytest.mark.parametrize("n", sorted(n for n, bound in ORBIT_SIZES if bound == 1))
+def test_bound_one_raw_orders_are_preorders(n, census_result):
+    # the closed forms of conftest.bound_one_raw_orders, on every bound-1 box the suite sweeps;
+    # twins are i != j with m[i][j] + m[j][i] = 0
+    assert census_result(n, 1).totals["raw_orders"] == bound_one_raw_orders(n)
+    twin_free = sum(
+        all(flat[n * i + j] + flat[n * j + i] for j in range(1, n) for i in range(j))
+        for flat in _orders_in_box(*_census_box(n, 1))
+    )
+    assert twin_free == POSETS[n - 1]
 
 
 @pytest.mark.parametrize("n,bound", ORBIT_SIZES)
@@ -421,7 +428,7 @@ def test_class_levels_answer_verdict_queries_from_their_marks(n, bound, monkeypa
     assert calls == []
 
 
-SCAN_LEVELS = {"staircase3": STAIRCASES[3], "staircase4": STAIRCASES[4], "sec52": SEC52_ROWS}
+SCAN_LEVELS = {f"staircase{n}": staircase((1,) * n, 1).entries for n in (3, 4)} | {"sec52": SEC52.entries}
 
 # each query, as the arguments of cli.main (a SCAN_LEVELS name stands for its
 # file) or as a library function and a SCAN_LEVELS name, with its order scans:
@@ -540,7 +547,7 @@ class TestCensus:
 
 class TestMatchFamily:
     def test_sixth_family_matches_its_own_instance(self):
-        assert match_family(M(SEC52_ROWS)) == (load_families()[5], {"a": 1, "b": 1})
+        assert match_family(SEC52) == (load_families()[5], {"a": 1, "b": 1})
 
     def test_zero_matrix_matches_the_parameterless_family(self):
         assert match_family(LevelMatrix.zero(4)) == (load_families()[0], {})

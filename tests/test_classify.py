@@ -34,6 +34,8 @@ from monorders import (
 from monorders.classify import _staircase_shape, _triangular_rows
 from conftest import (
     ORBIT_SIZES,
+    SEC52,
+    M,
     brute_staircase_shape,
     brute_triangular_verdicts,
     enumerate_orders,
@@ -41,14 +43,8 @@ from conftest import (
     min_plus_closure,
     random_order,
     random_weyl,
+    staircase,
 )
-
-
-def M(rows):
-    return LevelMatrix.from_rows(rows)
-
-
-SEC52 = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
 
 
 class TestEichlerShape:
@@ -401,7 +397,7 @@ def test_staircase_matches_prefix_oracle(n):
 
 
 def test_verdicts_run_past_the_search_cap():
-    chain = LevelMatrix.from_rows([[1 if j < i else 0 for j in range(10)] for i in range(10)])
+    chain = staircase((1,) * 10, 1)
     level = conjugate(chain, random_weyl(random.Random(10), 10))
     assert classify_eichler(level) == EichlerShape(10, (1,) * 10, 1)
     assert triangular_form(level) == chain

@@ -13,10 +13,11 @@ import pytest
 import monorders
 from monorders import DEFAULT_SEARCH_CAP, LevelMatrix, cli
 from monorders.cli import EXIT_DISAGREEMENT, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
+from monorders.levelio import level_to_text
 
-from conftest import random_order
+from conftest import SEC52, random_order
 
-SEC52_TEXT = "4\n0 0 0 0\n1 0 1 0\n1 1 0 0\n2 1 1 0\n"
+SEC52_TEXT = level_to_text(SEC52)
 NON_ORDER_TEXT = "3\n0 0 0\n0 0 0\n1 0 0\n"
 DIAGONAL_TEXT = "2\n1 0\n0 0\n"
 NON_ORDER_ERR = "error: input level is not an order (m[3,1] > m[3,2] + m[2,1] at (i,j,k)=(3,2,1))\n"

@@ -36,7 +36,7 @@ from pathlib import Path
 from monorders import cli, conjugate
 from monorders.levelio import level_to_json_obj, level_to_text, parse_level
 
-from conftest import random_order, random_weyl
+from conftest import SEC52, random_order, random_weyl
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 NINES = "9" * 4300
@@ -58,7 +58,7 @@ def _level_files():
     for k, level in enumerate(orders):
         files[f"o{k:02d}.lvl"] = level_to_text(level)
     files["o00.json"] = json.dumps(level_to_json_obj(orders[5]))
-    files["sec52.lvl"] = "4\n0 0 0 0\n1 0 1 0\n1 1 0 0\n2 1 1 0\n"
+    files["sec52.lvl"] = level_to_text(SEC52)
     files["big2.lvl"] = "2\n0 0\n3 0\n"
     files["zero9.lvl"] = "9\n" + "0 0 0 0 0 0 0 0 0\n" * 9
     # every off-diagonal entry 5, classified under a raised cap

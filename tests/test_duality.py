@@ -22,15 +22,16 @@ from monorders import (
     projective_witness,
 )
 from monorders.duality import _gorenstein_scan
-from conftest import ORBIT_SIZES, brute_gorenstein_scan, enumerate_orders, random_order, random_weyl
-
-
-def M(rows):
-    return LevelMatrix.from_rows(rows)
-
-
-SEC52 = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
-SEC52_OVER = M([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
+from conftest import (
+    ORBIT_SIZES,
+    SEC52,
+    SEC52_OVER,
+    M,
+    brute_gorenstein_scan,
+    enumerate_orders,
+    random_order,
+    random_weyl,
+)
 
 
 class TestIsLattice:
@@ -87,7 +88,7 @@ class TestIsProjective:
         assert is_projective(m, (0, 0, 0))
 
     def test_witness_soundness(self):
-        m = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
+        m = SEC52
         l = (0, 1, 1, 2)  # first column
         j, c = projective_witness(m, l)
         assert all(l[i] - c == m.entries[i][j - 1] for i in range(4))

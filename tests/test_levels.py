@@ -37,16 +37,15 @@ from monorders.levels import _order, _unflatten
 from conftest import (
     AUDITED,
     ORBIT_SIZES,
+    SEC52,
     TRUSTED_BUILDERS,
+    M,
     brute_canonical_form,
     enumerate_orders,
     random_order,
     random_weyl,
+    staircase,
 )
-
-
-def M(rows):
-    return LevelMatrix.from_rows(rows)
 
 
 def _marked(m):
@@ -353,10 +352,9 @@ def test_value_types_refuse_non_plain_ints(name):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_unflatten_slices_the_rows_of_a_flat_level(n):
-    # one getter per n, built once, equal to slicing row by row; n = 1 too, whose one row is the whole
+    # equal to slicing row by row; n = 1 too, whose one row is the whole
     flat = tuple(range(n * n))
     assert _unflatten(n)(flat) == tuple([flat[i:i + n] for i in range(0, n * n, n)])
-    assert _unflatten(n) is _unflatten(n)
 
 
 FAMILY_REFUSAL = "^family 0 pattern must be a square table of 0, a, b, a"
@@ -479,12 +477,6 @@ class TestCanonicalForm:
             canonical_form(LevelMatrix.zero(3), search_cap=2)
 
 
-def _staircase(blocks, a):
-    # upper triangular, a below the diagonal blocks: Eichler with invariant `blocks`
-    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
-    return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
-
-
 def _blow_up(level, sizes):
     # index i of `level` becomes sizes[i] twins (pair sum 0) with its row and column
     owner = [i for i, size in enumerate(sizes) for _ in range(size)]
@@ -498,9 +490,9 @@ def _symmetric_levels(rng, n):
     levels = [
         LevelMatrix.zero(n),
         ones,
-        _staircase((1,) * n, 1),
-        _staircase((split, n - split), 2),
-        _staircase((n // 2, n - n // 2), 1),
+        staircase((1,) * n, 1),
+        staircase((split, n - split), 2),
+        staircase((n // 2, n - n // 2), 1),
     ]
     if n >= 3:
         cuts = sorted(rng.sample(range(1, n), 2))
@@ -653,8 +645,7 @@ class TestUpperTriangular:
         assert is_upper_triangular(M([[0, 0], [3, 0]]))
 
     def test_entry_above_diagonal(self):
-        m = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
-        assert not is_upper_triangular(m)
+        assert not is_upper_triangular(SEC52)
 
     def test_zero_matrix(self):
         assert is_upper_triangular(LevelMatrix.zero(4))

@@ -20,15 +20,20 @@ from monorders import (
 )
 from monorders import cli, oracle as oracle_module
 from monorders.cli import EXIT_INPUT, EXIT_OK, main
-from conftest import brute_bass_oracle, enumerate_orders, random_order, random_weyl
+from conftest import (
+    SEC52,
+    SEC52_OVER,
+    M,
+    brute_bass_oracle,
+    enumerate_orders,
+    overorder_box,
+    product_orders,
+    random_order,
+    random_weyl,
+    staircase,
+)
 
 
-def M(rows):
-    return LevelMatrix.from_rows(rows)
-
-
-SEC52 = M([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
-SEC52_OVER = M([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0]])
 # a Gorenstein, non-Bass class of the (5, 2) census whose nearest non-Gorenstein
 # overorder is at distance 2, past every cover
 DISTANCE_TWO = M([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [2, 2, 2, 2, 0]])
@@ -73,21 +78,9 @@ class TestOverorders:
 
     def test_completeness_against_box_filter(self):
         # brute-force the whole box without pruning and compare
-        import itertools
-
         m = M([[0, 0, 0], [2, 0, 1], [1, 1, 0]])
         assert is_order(m)
-        rows = m.entries
-        positions = [(i, j) for i in range(3) for j in range(3) if i != j]
-        ranges = [range(-rows[j][i], rows[i][j] + 1) for i, j in positions]
-        expected = set()
-        for combo in itertools.product(*ranges):
-            cand = [[0] * 3 for _ in range(3)]
-            for (i, j), v in zip(positions, combo):
-                cand[i][j] = v
-            level = LevelMatrix.from_rows(cand)
-            if is_order(level):
-                expected.add(level)
+        expected = {M(rows) for rows in product_orders(*overorder_box(m.entries))}
         assert set(overorders(m).members) == expected
 
     def test_sec52_contains_the_non_gorenstein_overorder(self):
@@ -182,12 +175,6 @@ def test_one_budget_check_per_query(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def _period_two(sizes, a):
-    # upper triangular with a below the two diagonal blocks: Eichler of period two
-    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
-    return M([[a if bj < bi else 0 for bj in owner] for bi in owner])
-
-
 def test_bass_oracle_tests_each_overorder_once(monkeypatch):
     # the base is the one overorder at distance 0: tested first, and not again as a member
     calls = []
@@ -198,7 +185,7 @@ def test_bass_oracle_tests_each_overorder_once(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "is_gorenstein", counting)
     bass_orders = (M([[0, 0], [2, 0]]), LevelMatrix.zero(3), M([[0, 0, 0], [1, 0, 0], [1, 1, 0]]))
-    for m in bass_orders + (_period_two((2, 2), 3),):
+    for m in bass_orders + (staircase((2, 2), 3),):
         calls.clear()
         assert bass_oracle(m) == (True, None)
         members = overorders(m).members
@@ -217,7 +204,7 @@ def test_bass_oracle_matches_full_scan(name, census_result):
         levels = [c.canonical for c in classes if kind == "census" or c.report.is_gorenstein]
     elif kind == "period":
         levels = [
-            _period_two((k, n - k), a) for n in range(2, 6) for k in range(1, n) for a in (1, 2, 3)
+            staircase((k, n - k), a) for n in range(2, 6) for k in range(1, n) for a in (1, 2, 3)
         ]
     elif kind == "distance":
         # a census class level (its own canonical form, entries <= 2) with its witness two steps down
